@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.add("population", &population, "PSG population size");
   flags.add("seed", &seed, "base RNG seed");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   auto gen_config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   flags.add("runs", &runs, "instances");
   flags.add("seed", &seed, "base RNG seed");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   auto gen_config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kQosLimited);

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   flags.add("exact", &with_exact, "also compute the exact permutation optimum");
   flags.add("csv", &csv, "emit CSV");
   flags.add("trace", &trace_path, "write span/event JSONL trace to this path");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   bool tracing = false;
   if (!trace_path.empty()) {
@@ -61,9 +61,8 @@ int main(int argc, char** argv) {
     info.set_param("budget", budget);
     tracing = obs::trace_open(trace_path, info);
     if (!tracing) {
-      std::fprintf(stderr, "warning: could not open trace '%s'%s\n",
-                   trace_path.c_str(),
-                   obs::kTracingCompiledIn ? "" : " (tracing compiled out)");
+      std::fprintf(stderr, "warning: could not open trace '%s'\n",
+                   trace_path.c_str());
     }
   }
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   flags.add("iterations", &iterations, "GA iteration budget (both searches)");
   flags.add("seed", &seed, "base RNG seed");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   auto gen_config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);

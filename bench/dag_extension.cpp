@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   flags.add("runs", &runs, "instances");
   flags.add("seed", &seed, "base RNG seed");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   // Part 1: chains through both analyses.
   std::printf("== Part 1: chain workloads, linear vs DAG module ==\n\n");

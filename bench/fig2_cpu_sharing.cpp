@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       "times under the three CPU-sharing overlap cases");
   flags.add("horizon", &horizon, "simulated seconds per case");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   struct Case {
     const char* name;

@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   config.register_flags(flags);
   flags.add("full", &full, "paper-scale parameters (12 machines, 150 strings, "
                            "100 runs, full PSG budget; very slow)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (full) {
     config.apply_full_scale(workload::Scenario::kHighlyLoaded);
     // Re-parse so explicit flags (e.g. --runs=1) override the full-scale
     // defaults instead of being clobbered by them.
-    if (!flags.parse(argc, argv)) return 0;
+    if (!flags.parse(argc, argv)) return flags.exit_code();
   }
 
   std::printf("== Figure 3: total worth, scenario 1 (highly loaded) ==\n");

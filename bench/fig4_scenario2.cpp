@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
       "system (tight Table 1 mu ranges)");
   config.register_flags(flags);
   flags.add("full", &full, "paper-scale parameters (very slow)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (full) {
     config.apply_full_scale(workload::Scenario::kQosLimited);
     // Re-parse so explicit flags (e.g. --runs=1) override the full-scale
     // defaults instead of being clobbered by them.
-    if (!flags.parse(argc, argv)) return 0;
+    if (!flags.parse(argc, argv)) return flags.exit_code();
   }
 
   std::printf("== Figure 4: total worth, scenario 2 (QoS-limited) ==\n");

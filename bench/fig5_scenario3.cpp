@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   config.register_flags(flags);
   flags.add("full", &full, "paper-scale parameters (12 machines, 25 strings, "
                            "100 runs)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (full) {
     config.apply_full_scale(workload::Scenario::kLightlyLoaded);
     // Re-parse so explicit flags (e.g. --runs=1) override the full-scale
     // defaults instead of being clobbered by them.
-    if (!flags.parse(argc, argv)) return 0;
+    if (!flags.parse(argc, argv)) return flags.exit_code();
   }
 
   std::printf("== Figure 5: system slackness, scenario 3 (lightly loaded) ==\n");

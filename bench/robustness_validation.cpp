@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   flags.add("step", &step, "scale factor step");
   flags.add("horizon", &horizon, "simulated seconds (0 = 20 periods)");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   auto gen_config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kLightlyLoaded);

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   flags.add("seed", &seed, "RNG seed");
   flags.add("psg-iterations", &psg_iterations, "PSG iteration budget");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   util::Rng rng(static_cast<std::uint64_t>(seed));
   auto config =

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   flags.add("seed", &seed, "base RNG seed");
   flags.add("sample-runs", &sample_runs, "instances sampled per scenario");
   flags.add("csv", &csv, "emit CSV");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   std::printf("== Table 1: range specifications for the random variable mu ==\n\n");
   util::Table spec({"scenario", "mu for Lmax[k]", "mu for P[k]", "strings Q"});

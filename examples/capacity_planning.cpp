@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   flags.add("seed", &seed, "RNG seed");
   flags.add("max-strings", &max_strings, "largest string count probed");
   flags.add("step", &step, "string count step");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   core::PsgOptions psg_options;
   psg_options.ga.population_size = 40;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
             "write the (generated or loaded) system model to this JSON file");
   flags.add("save-allocation", &save_allocation_path,
             "write the resulting allocation to this JSON file");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (scenario < 1 || scenario > 3) {
     std::fprintf(stderr, "error: --scenario must be 1, 2 or 3\n");
     return 1;

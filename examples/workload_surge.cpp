@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   flags.add("seed", &seed, "RNG seed");
   flags.add("max-surge", &max_surge, "largest workload factor simulated");
   flags.add("step", &step, "workload factor step");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_code();
 
   auto config =
       workload::GeneratorConfig::for_scenario(workload::Scenario::kLightlyLoaded);

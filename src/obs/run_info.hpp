@@ -29,7 +29,6 @@ struct RunInfo {
   std::string build_type;
   std::string compiler;
   std::string sanitize;         ///< TSCE_SANITIZE value, empty when off
-  bool tracing_compiled = false;
 
   // Run identity (filled by the caller).
   std::uint64_t seed = 0;

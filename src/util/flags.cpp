@@ -15,6 +15,10 @@ std::string repr_of(double v) {
 }
 std::string repr_of(bool v) { return v ? "true" : "false"; }
 
+bool is_bool_literal(std::string_view token) {
+  return token == "true" || token == "false" || token == "1" || token == "0";
+}
+
 }  // namespace
 
 void Flags::add(std::string_view name, std::int64_t* target, std::string_view help) {
@@ -83,16 +87,28 @@ void Flags::print_help() const {
   std::printf("  --%-24s print this help\n", "help");
 }
 
+bool Flags::usage_error() {
+  exit_code_ = 2;
+  return false;
+}
+
 bool Flags::parse(int argc, char** argv) {
+  positional_.clear();  // parse() may run twice (e.g. after --full defaults)
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (!arg.starts_with("--")) {
+      if (!accept_positionals_) {
+        std::fprintf(stderr, "error: unexpected argument '%.*s' (see --help)\n",
+                     static_cast<int>(arg.size()), arg.data());
+        return usage_error();
+      }
       positional_.emplace_back(arg);
       continue;
     }
     arg.remove_prefix(2);
     if (arg == "help") {
       print_help();
+      exit_code_ = 0;
       return false;
     }
     std::string_view name = arg;
@@ -113,7 +129,7 @@ bool Flags::parse(int argc, char** argv) {
     if (entry == nullptr) {
       std::fprintf(stderr, "error: unknown flag --%.*s (see --help)\n",
                    static_cast<int>(name.size()), name.data());
-      return false;
+      return usage_error();
     }
     if (negated) {
       *static_cast<bool*>(entry->target) = false;
@@ -121,19 +137,20 @@ bool Flags::parse(int argc, char** argv) {
     }
     if (!has_value) {
       if (entry->type == Type::kBool) {
-        *static_cast<bool*>(entry->target) = true;
-        continue;
-      }
-      if (i + 1 >= argc) {
+        // `--flag false` means `--flag=false`; any other next token is not
+        // this flag's value.
+        value = i + 1 < argc && is_bool_literal(argv[i + 1]) ? argv[++i] : "true";
+      } else if (i + 1 >= argc) {
         std::fprintf(stderr, "error: flag --%s expects a value\n", entry->name.c_str());
-        return false;
+        return usage_error();
+      } else {
+        value = argv[++i];
       }
-      value = argv[++i];
     }
     if (!assign(*entry, value)) {
       std::fprintf(stderr, "error: bad value '%.*s' for flag --%s\n",
                    static_cast<int>(value.size()), value.data(), entry->name.c_str());
-      return false;
+      return usage_error();
     }
   }
   return true;

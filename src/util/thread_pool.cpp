@@ -37,10 +37,13 @@ void ThreadPool::note_submitted(std::size_t queue_depth) noexcept {
   raise_max(stats.max_queue_depth, queue_depth);
 }
 
+std::size_t ThreadPool::resolve_worker_count(std::size_t num_threads) noexcept {
+  if (num_threads != 0) return num_threads;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  num_threads = resolve_worker_count(num_threads);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

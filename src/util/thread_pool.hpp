@@ -60,7 +60,12 @@ class ThreadPool {
   static void set_timing(bool enabled) noexcept;
   [[nodiscard]] static bool timing_enabled() noexcept;
 
-  /// Creates \p num_threads workers; 0 means std::thread::hardware_concurrency().
+  /// The worker count \p num_threads asks for: itself, or
+  /// std::thread::hardware_concurrency() (at least 1) when it is 0.
+  [[nodiscard]] static std::size_t resolve_worker_count(
+      std::size_t num_threads) noexcept;
+
+  /// Creates resolve_worker_count(\p num_threads) workers.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

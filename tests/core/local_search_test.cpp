@@ -45,9 +45,11 @@ TEST(HillClimb, NeverWorseThanItsOwnStartingPoints) {
   options.max_evaluations = 200;
   util::Rng rng(4);
   const auto result = HillClimb(options).allocate(m, rng);
+  // Restart 0 shuffles its start order on stream 0 of the caller's first draw.
   util::Rng rng_replay(4);
+  util::Rng restart_rng = util::Rng::stream(rng_replay(), 0);
   auto start = identity_order(m);
-  rng_replay.shuffle(start);
+  restart_rng.shuffle(start);
   const auto start_fitness = decode_order(m, start).fitness;
   EXPECT_FALSE(result.fitness < start_fitness);
 }
@@ -68,13 +70,12 @@ TEST(HillClimb, LpGuidedStartDominatesTheGuidedSeed) {
 }
 
 TEST(HillClimb, LpGuidedStartLeavesOtherRestartsUnchanged) {
-  // The guided start replaces only restart 0's shuffled order; the rng draws
-  // are still consumed, so in the deterministic engine restarts 1..N-1 see
+  // The guided start replaces only restart 0's shuffled order; every restart
+  // draws from its own index-derived stream, so restarts 1..N-1 see
   // identical streams with the option on or off.
   const SystemModel m = contended(10);
   HillClimbOptions base;
   base.restarts = 3;
-  base.threads = 1;  // deterministic engine: per-restart streams
   base.max_evaluations = 300;
   HillClimbOptions guided = base;
   guided.lp_guided_start = true;
@@ -92,6 +93,8 @@ TEST(HillClimb, LpGuidedStartLeavesOtherRestartsUnchanged) {
 }
 
 TEST(HillClimb, RespectsEvaluationBudget) {
+  // More restarts than budget: every restart costs its start decode, so the
+  // restarts are capped at the budget rather than overrunning it.
   const SystemModel m = contended(5);
   HillClimbOptions options;
   options.restarts = 100;
@@ -102,9 +105,10 @@ TEST(HillClimb, RespectsEvaluationBudget) {
 }
 
 TEST(HillClimb, ParallelRestartsDeterministicAcrossThreadCounts) {
-  // With threads >= 1 every restart derives its rng stream from its index, so
-  // the result must be identical at any worker count (and across reruns) —
-  // including threads = 1, the inline no-pool execution of the same engine.
+  // Every restart derives its rng stream from its index, so the result must
+  // be identical at any worker count (and across reruns) — including
+  // threads = 1, the inline no-pool execution, and threads = 0, one worker
+  // per hardware thread.
   const SystemModel m = contended(15);
   HillClimbOptions options;
   options.restarts = 4;
@@ -119,6 +123,9 @@ TEST(HillClimb, ParallelRestartsDeterministicAcrossThreadCounts) {
   const auto two = run(2);
   const auto three = run(3);
   const auto two_again = run(2);
+  const auto hardware = run(0);
+  EXPECT_EQ(one.order, hardware.order);
+  EXPECT_EQ(one.evaluations, hardware.evaluations);
   EXPECT_EQ(two.fitness.total_worth, three.fitness.total_worth);
   EXPECT_EQ(two.fitness.slackness, three.fitness.slackness);
   EXPECT_EQ(two.order, three.order);
@@ -197,27 +204,27 @@ TEST(SimulatedAnnealing, ColdAnnealingIsGreedy) {
   EXPECT_FALSE(long_result.fitness < short_result.fitness);
 }
 
-TEST(SimulatedAnnealing, LegacyEngineUnchangedByTemperingKnobs) {
-  // threads == 0 selects the legacy serial chain; the tempering-only knobs
-  // (replicas, exchange_interval, ladder_ratio) must not perturb it, so a
+TEST(SimulatedAnnealing, SingleChainUnchangedByTemperingKnobs) {
+  // One replica (the default) is a plain annealing chain: the ladder ratio,
+  // the exchange barriers and the worker count have nothing to act on, so a
   // fixed seed replays byte-identically whatever they are set to.
   const SystemModel m = contended(19);
   auto run = [&](AnnealingOptions options) {
     options.iterations = 250;
-    options.threads = 0;
     util::Rng rng(20);
     return SimulatedAnnealing(options).allocate(m, rng);
   };
   const auto baseline = run({});
   AnnealingOptions weird;
-  weird.replicas = 9;
   weird.exchange_interval = 1;
   weird.ladder_ratio = 5.0;
+  weird.threads = 0;
   const auto knobbed = run(weird);
   EXPECT_EQ(baseline.order, knobbed.order);
   EXPECT_EQ(baseline.fitness.total_worth, knobbed.fitness.total_worth);
   EXPECT_EQ(baseline.fitness.slackness, knobbed.fitness.slackness);
   EXPECT_EQ(baseline.evaluations, knobbed.evaluations);
+  EXPECT_EQ(baseline.evaluations, 251u);
 }
 
 TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
@@ -234,7 +241,10 @@ TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
   const auto one = run(1);
   const auto two = run(2);
   const auto eight = run(8);  // threads > replicas: workers cap at 3
+  const auto hardware = run(0);
   const auto two_again = run(2);
+  EXPECT_EQ(one.order, hardware.order);
+  EXPECT_EQ(one.evaluations, hardware.evaluations);
   EXPECT_EQ(one.order, two.order);
   EXPECT_EQ(one.fitness.total_worth, two.fitness.total_worth);
   EXPECT_EQ(one.fitness.slackness, two.fitness.slackness);
@@ -247,18 +257,20 @@ TEST(SimulatedAnnealing, TemperingDeterministicAcrossThreadCounts) {
 }
 
 TEST(SimulatedAnnealing, TemperingBudgetMatchesSerialEngine) {
-  // The tempering engine splits `iterations` across the replicas and each
-  // replica charges one decode for its start order, so the total evaluation
-  // count is iterations + replicas — the serial engine's iterations + 1
+  // Tempering splits `iterations` across the replicas and each replica
+  // charges one decode for its start order, so the total evaluation count is
+  // iterations + replicas — the single serial chain's iterations + 1
   // generalized to N chains.  Holds whether or not replicas divides evenly.
   const SystemModel m = contended(23);
-  AnnealingOptions options;
-  options.iterations = 305;
-  options.replicas = 4;
-  options.threads = 1;
-  util::Rng rng(24);
-  const auto result = SimulatedAnnealing(options).allocate(m, rng);
-  EXPECT_EQ(result.evaluations, 305u + 4u);
+  auto run = [&](std::size_t replicas) {
+    AnnealingOptions options;
+    options.iterations = 305;
+    options.replicas = replicas;
+    util::Rng rng(24);
+    return SimulatedAnnealing(options).allocate(m, rng);
+  };
+  EXPECT_EQ(run(1).evaluations, 305u + 1u);
+  EXPECT_EQ(run(4).evaluations, 305u + 4u);
 }
 
 TEST(SimulatedAnnealing, DegenerateReplicaCounts) {
@@ -306,12 +318,13 @@ TEST(SimulatedAnnealing, ExchangeIntervalZeroRunsIndependentChains) {
 }
 
 TEST(SimulatedAnnealing, TemperingTracksBestNotCurrent) {
-  // The reported order must replay to the reported fitness (same invariant
-  // the serial engine keeps, now across replica exchanges).
+  // The reported order must replay to the reported fitness (the single
+  // chain's invariant, now across replica exchanges).
   const SystemModel m = contended(29);
   AnnealingOptions options;
   options.iterations = 400;
   options.initial_temperature = 50.0;
+  options.replicas = 4;
   options.threads = 2;
   util::Rng rng(30);
   const auto result = SimulatedAnnealing(options).allocate(m, rng);

@@ -60,14 +60,23 @@ TEST(Flags, NoPrefixNegatesBool) {
 }
 
 TEST(Flags, BoolExplicitValues) {
-  bool a = false, b = true;
+  // The space form too: `--ub false` must turn the flag off, not set it and
+  // leave "false" behind as a stray positional.
+  bool a = false, b = true, c = true, d = false, e = true;
   Flags flags("test");
   flags.add("a", &a, "");
   flags.add("b", &b, "");
-  Argv argv({"prog", "--a=true", "--b=false"});
+  flags.add("c", &c, "");
+  flags.add("d", &d, "");
+  flags.add("e", &e, "");
+  Argv argv({"prog", "--a=true", "--b=false", "--c", "false", "--d", "1", "--e", "0"});
   ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
   EXPECT_TRUE(a);
   EXPECT_FALSE(b);
+  EXPECT_FALSE(c);
+  EXPECT_TRUE(d);
+  EXPECT_FALSE(e);
+  EXPECT_TRUE(flags.positional().empty());
 }
 
 TEST(Flags, StringFlag) {
@@ -104,9 +113,12 @@ TEST(Flags, TraceFlagMissingValueFails) {
 }
 
 TEST(Flags, UnknownFlagFails) {
+  // Mains return exit_code() when parse() fails: a usage error exits 2, so a
+  // misspelled flag in a script fails loudly.
   Flags flags("test");
   Argv argv({"prog", "--bogus=1"});
   EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.exit_code(), 2);
 }
 
 TEST(Flags, BadIntValueFails) {
@@ -115,6 +127,7 @@ TEST(Flags, BadIntValueFails) {
   flags.add("runs", &runs, "");
   Argv argv({"prog", "--runs=abc"});
   EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.exit_code(), 2);
 }
 
 TEST(Flags, MissingValueFails) {
@@ -126,15 +139,56 @@ TEST(Flags, MissingValueFails) {
 }
 
 TEST(Flags, HelpReturnsFalse) {
+  // --help stops the program, but as a success.
   Flags flags("test");
   Argv argv({"prog", "--help"});
   EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.exit_code(), 0);
+}
+
+TEST(Flags, BoolLeavesOtherTokensPositional) {
+  bool csv = false;
+  Flags flags("test");
+  flags.add("csv", &csv, "");
+  flags.accept_positionals();
+  Argv argv({"prog", "--csv", "trace.jsonl", "--no-csv", "false"});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_FALSE(csv);
+  ASSERT_EQ(flags.positional().size(), 2u);
+  EXPECT_EQ(flags.positional()[0], "trace.jsonl");
+  EXPECT_EQ(flags.positional()[1], "false");
+}
+
+TEST(Flags, StrayPositionalRejectedUnlessAccepted) {
+  bool ub = true;
+  Flags flags("test");
+  flags.add("ub", &ub, "");
+  Argv argv({"prog", "--ub", "no"});
+  EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.exit_code(), 2);
+}
+
+TEST(Flags, ReparseDoesNotDuplicatePositionals) {
+  // fig3/4/5 parse twice under --full so explicit flags override the
+  // full-scale defaults; the second parse must see the same arguments.
+  std::int64_t runs = 10;
+  Flags flags("test");
+  flags.add("runs", &runs, "");
+  flags.accept_positionals();
+  Argv argv({"prog", "a.jsonl", "--runs=2"});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  runs = 100;
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(runs, 2);
+  ASSERT_EQ(flags.positional().size(), 1u);
+  EXPECT_EQ(flags.positional()[0], "a.jsonl");
 }
 
 TEST(Flags, PositionalArgumentsCollected) {
   std::int64_t n = 0;
   Flags flags("test");
   flags.add("n", &n, "");
+  flags.accept_positionals();
   Argv argv({"prog", "input.txt", "--n=3", "output.txt"});
   ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
   EXPECT_EQ(n, 3);

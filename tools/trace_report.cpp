@@ -460,7 +460,8 @@ int main(int argc, char** argv) {
   flags.add("tolerance", &tolerance,
             "worth slack allowed before --convergence-diff flags a "
             "regression (default 0)");
-  if (!flags.parse(argc, argv)) return 1;
+  flags.accept_positionals();
+  if (!flags.parse(argc, argv)) return flags.exit_code();
   if (convergence_diff) {
     if (flags.positional().size() != 2) {
       std::fprintf(stderr,
