@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "core/baselines.hpp"
 #include "core/class_based.hpp"
@@ -19,7 +20,6 @@
 #include "core/local_search.hpp"
 #include "core/ordered.hpp"
 #include "core/psg.hpp"
-#include "obs/names.hpp"
 #include "obs/run_info.hpp"
 #include "obs/trace.hpp"
 #include "util/flags.hpp"
@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
     info.set_param("budget", budget);
     tracing = obs::trace_open(trace_path, info);
     if (!tracing) {
-      std::fprintf(stderr, "warning: could not open trace '%s'\n",
+      std::fprintf(stderr, "error: cannot write --trace '%s'\n",
                    trace_path.c_str());
+      return 1;
     }
   }
 
@@ -99,25 +100,29 @@ int main(int argc, char** argv) {
 
   std::vector<util::RunningStats> worth(searchers.size());
   util::RunningStats exact_worth;
+  std::vector<obs::PhaseId> phases;
+  for (const auto& searcher : searchers) {
+    phases.push_back(obs::intern_phase(searcher->name()));
+  }
+  const obs::PhaseId exact_phase = obs::intern_phase("Exact");
   util::Rng master(static_cast<std::uint64_t>(seed));
   for (std::int64_t run = 0; run < runs; ++run) {
     util::Rng instance_rng = master.spawn();
     const model::SystemModel m = workload::generate(gen_config, instance_rng);
     for (std::size_t s = 0; s < searchers.size(); ++s) {
       util::Rng rng = master.spawn();
-      obs::Span span(obs::names::kBenchAlloc, {{"phase", searchers[s]->name()},
-                                     {"run", std::uint64_t{static_cast<std::uint64_t>(run)}}});
+      obs::Span span(obs::FrKind::kBenchAlloc, phases[s],
+                     static_cast<std::uint64_t>(run));
       const auto result = searchers[s]->allocate(m, rng);
-      span.add("metric", static_cast<double>(result.fitness.total_worth));
-      span.add("evaluations", static_cast<double>(result.evaluations));
+      span.set(static_cast<double>(result.fitness.total_worth));
       worth[s].add(result.fitness.total_worth);
     }
     if (with_exact && m.num_strings() <= 9) {
       util::Rng rng = master.spawn();
-      obs::Span span(obs::names::kBenchAlloc, {{"phase", "Exact"},
-                                     {"run", std::uint64_t{static_cast<std::uint64_t>(run)}}});
+      obs::Span span(obs::FrKind::kBenchAlloc, exact_phase,
+                     static_cast<std::uint64_t>(run));
       const auto result = core::ExactPermutationSearch{}.allocate(m, rng);
-      span.add("metric", static_cast<double>(result.fitness.total_worth));
+      span.set(static_cast<double>(result.fitness.total_worth));
       exact_worth.add(result.fitness.total_worth);
     }
   }

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <system_error>
+#include <utility>
 
 #include "core/baselines.hpp"
 #include "core/ordered.hpp"
 #include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/names.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
@@ -31,6 +34,23 @@ const char* scenario_name(workload::Scenario s) {
     case workload::Scenario::kLightlyLoaded: return "lightly_loaded";
   }
   return "unknown";
+}
+
+/// True when \p path can be opened for writing.  A file the probe creates is
+/// removed again, so a refused run leaves nothing behind.
+bool writable(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  std::FILE* f = std::fopen(path.c_str(), "a");
+  if (f == nullptr) return false;
+  std::fclose(f);
+  if (!existed) std::remove(path.c_str());
+  return true;
+}
+
+[[noreturn]] void sink_failed(const char* flag, const std::string& path) {
+  std::fprintf(stderr, "error: cannot write %s '%s'\n", flag, path.c_str());
+  std::exit(1);
 }
 
 }  // namespace
@@ -110,13 +130,21 @@ std::vector<core::AllocatorPtr> paper_allocators(const core::PsgOptions& psg) {
 
 ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
                                        bool slackness_metric) {
-  bool tracing = false;
-  if (!config.trace_path.empty()) {
-    tracing = obs::trace_open(config.trace_path, config.run_info());
-    if (!tracing) {
-      std::fprintf(stderr, "warning: could not open trace '%s'\n",
-                   config.trace_path.c_str());
-    }
+  // Every requested sink must be writable before the first run starts, so a
+  // bad path fails at once instead of after the runs or not at all.
+  const std::pair<const char*, const std::string*> sinks[] = {
+      {"--trace", &config.trace_path},
+      {"--metrics", &config.metrics_path},
+      {"--metrics-series", &config.metrics_series_path},
+      {"--fr-dump", &config.fr_dump_path},
+      {"--json", &config.json_path}};
+  for (const auto& [flag, path] : sinks) {
+    if (!path->empty() && !writable(*path)) sink_failed(flag, *path);
+  }
+
+  const bool tracing = !config.trace_path.empty();
+  if (tracing && !obs::trace_open(config.trace_path, config.run_info())) {
+    sink_failed("--trace", config.trace_path);
   }
   if (!config.metrics_path.empty()) util::ThreadPool::set_timing(true);
 
@@ -138,9 +166,7 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
         std::max<std::int64_t>(1, config.metrics_period_ms));
     exporter = std::make_unique<obs::MetricsExporter>(ex);
     if (!exporter->start()) {
-      std::fprintf(stderr, "warning: could not open metrics series '%s'\n",
-                   config.metrics_series_path.c_str());
-      exporter.reset();
+      sink_failed("--metrics-series", config.metrics_series_path);
     }
   }
 
@@ -151,9 +177,12 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
   const auto allocators = paper_allocators(config.psg_options());
   ScenarioBenchResult result;
   result.heuristics.resize(allocators.size());
+  std::vector<obs::PhaseId> phases(allocators.size());
   for (std::size_t h = 0; h < allocators.size(); ++h) {
     result.heuristics[h].name = allocators[h]->name();
+    phases[h] = obs::intern_phase(result.heuristics[h].name);
   }
+  const obs::PhaseId ub_phase = obs::intern_phase("UB");
   result.upper_bound.name = "UB";
 
   // Every run's rng streams are spawned up front, in the exact order the
@@ -190,8 +219,7 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
     out.metric.resize(allocators.size());
     out.seconds.resize(allocators.size());
     for (std::size_t h = 0; h < allocators.size(); ++h) {
-      obs::Span span(obs::names::kBenchAlloc, {{"phase", allocators[h]->name()},
-                                     {"run", std::uint64_t{run}}});
+      obs::Span span(obs::FrKind::kBenchAlloc, phases[h], run);
       const double t0 = now_seconds();
       const auto alloc_result =
           allocators[h]->allocate(m, plans[run].search_rngs[h]);
@@ -199,11 +227,10 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
       out.metric[h] =
           slackness_metric ? alloc_result.fitness.slackness
                            : static_cast<double>(alloc_result.fitness.total_worth);
-      span.add("metric", out.metric[h]);
-      span.add("evaluations", static_cast<double>(alloc_result.evaluations));
+      span.set(out.metric[h]);
     }
     if (config.with_upper_bound) {
-      obs::Span span(obs::names::kBenchUb, {{"phase", "UB"}, {"run", std::uint64_t{run}}});
+      obs::Span span(obs::FrKind::kBenchUb, ub_phase, run);
       // Monte-Carlo runs share one scenario shape, so one solver per worker
       // thread reuses the assembled LpProblem's buffers instead of rebuilding
       // the LP from scratch each run.  Warm starts stay OFF: chaining bases
@@ -217,7 +244,7 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
       out.ub_seconds = now_seconds() - t0;
       out.ub_status = ub.status;
       out.ub_value = ub.value;
-      span.add("metric", out.ub_value);
+      span.set(out.ub_value);
     }
   };
 
@@ -258,8 +285,9 @@ ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
     // A triggered dump (anomaly or SIGUSR1) already captured the interesting
     // window; otherwise persist the final ring contents.
     obs::flight_recorder_poll();
-    if (obs::flight_recorder_dump_count() == 0) {
-      obs::flight_recorder_dump(config.fr_dump_path);
+    if (obs::flight_recorder_dump_count() == 0 &&
+        !obs::flight_recorder_dump(config.fr_dump_path)) {
+      sink_failed("--fr-dump", config.fr_dump_path);
     }
   }
   if (!config.metrics_path.empty()) {

@@ -379,13 +379,13 @@ void BM_MetricsCounterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsCounterAdd);
 
-/// Cost of a span + event when no trace is open: one relaxed atomic load
-/// each.  Spans sit at trial/restart granularity, so this is the whole
-/// always-on tracer cost per span an untraced run pays.
+/// Cost of a span + event when no trace is open: three clock reads and two
+/// flight-recorder slots.  Spans sit at trial/restart granularity, so this is
+/// the whole always-on span cost an untraced run pays.
 void BM_TracingDisabledSpan(benchmark::State& state) {
   for (auto _ : state) {
-    obs::Span span(obs::names::kBenchMicroSpan, {{"k", 1}});
-    obs::trace_event(obs::names::kBenchMicroEvent, {{"k", 2}});
+    obs::Span span(obs::FrKind::kBenchMicroSpan, 0, 1);
+    obs::trace_event(obs::FrKind::kBenchMicroEvent, 0, 2);
     benchmark::DoNotOptimize(obs::tracing_active());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

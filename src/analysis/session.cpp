@@ -309,13 +309,12 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
     }
     SessionMetrics::get().commit_latency_ns.record(
         obs::ticks_to_ns(obs::clock_ticks() - t0));
-    obs::flight_recorder_note_reject(static_cast<std::uint64_t>(k),
-                                     fr_violation);
+    obs::flight_recorder_record(obs::FrKind::kCommitReject,
+                                static_cast<std::uint64_t>(k), fr_violation);
     return false;
   }
   SessionMetrics::get().commit_latency_ns.record(
       obs::ticks_to_ns(obs::clock_ticks() - t0));
-  obs::flight_recorder_note_commit_ok();
   return true;
 }
 

@@ -7,7 +7,6 @@
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
 #include "genitor/genitor.hpp"
-#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace tsce::core {
@@ -96,6 +95,7 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
   std::size_t evaluations = 0;
 
   std::size_t class_index = 0;
+  const obs::PhaseId phase = obs::intern_phase("ClassBased");
   for (const Worth worth_class : kClassOrder) {
     std::vector<StringId> members;
     for (std::size_t k = 0; k < model.num_strings(); ++k) {
@@ -104,10 +104,8 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
       }
     }
     if (members.empty()) continue;
-    obs::Span span(obs::names::kSearchClass,
-                   {{"phase", "ClassBased"},
-                    {"class", std::uint64_t{class_index++}},
-                    {"members", std::uint64_t{members.size()}}});
+    obs::Span span(obs::FrKind::kSearchClass, phase, class_index++,
+                   members.size());
 
     std::vector<StringId> best_class_order;
     if (members.size() == 1) {
@@ -129,12 +127,8 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
         auto ga_result = ga.run(
             trial_rng, {},
             [&](std::size_t iteration, const analysis::Fitness& elite) {
-              obs::trace_event(obs::names::kSearchImprove,
-                               {{"phase", "ClassBased"},
-                                {"trial", std::uint64_t{trace_class}},
-                                {"iteration", std::uint64_t{iteration}},
-                                {"worth", elite.total_worth},
-                                {"slackness", elite.slackness}});
+              obs::trace_improve(phase, trace_class, iteration,
+                                 elite.total_worth, elite.slackness);
             });
         evaluations += ga_result.evaluations;
         if (!have_best || best_fitness < ga_result.best_fitness) {

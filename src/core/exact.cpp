@@ -6,7 +6,6 @@
 
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
-#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace tsce::core {
@@ -25,9 +24,9 @@ namespace {
 class Enumerator {
  public:
   Enumerator(const SystemModel& model, DecodeContext& ctx,
-             std::size_t max_evaluations)
+             std::size_t max_evaluations, obs::PhaseId phase)
       : model_(model), ctx_(ctx), max_evaluations_(max_evaluations),
-        used_(model.num_strings(), false) {
+        phase_(phase), used_(model.num_strings(), false) {
     remaining_worth_ = model.total_worth_available();
   }
 
@@ -68,11 +67,8 @@ class Enumerator {
       best_allocation_ = ctx_.allocation();
       best_order_.assign(ctx_.committed().begin(), ctx_.committed().end());
       have_best_ = true;
-      obs::trace_event(obs::names::kSearchImprove,
-                       {{"phase", "Exact"},
-                        {"iteration", std::uint64_t{evaluations_}},
-                        {"worth", best_fitness_.total_worth},
-                        {"slackness", best_fitness_.slackness}});
+      obs::trace_improve(phase_, 0, evaluations_, best_fitness_.total_worth,
+                         best_fitness_.slackness);
     }
   }
 
@@ -112,6 +108,7 @@ class Enumerator {
   DecodeContext& ctx_;
   std::size_t max_evaluations_;
   std::size_t evaluations_ = 0;
+  obs::PhaseId phase_;
   std::vector<bool> used_;
   int remaining_worth_ = 0;
 
@@ -131,9 +128,8 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
         std::to_string(model.num_strings()) + " strings > max " +
         std::to_string(options_.max_strings) + ")");
   }
-  obs::Span span(obs::names::kSearchExact,
-                 {{"phase", "Exact"},
-                  {"threads", std::uint64_t{options_.threads}}});
+  const obs::PhaseId phase = obs::intern_phase("Exact");
+  obs::Span span(obs::FrKind::kSearchExact, phase, options_.threads);
   // The top level of the tree is split into one task per first string, each
   // enumerated independently with its own bound and an equal slice of the
   // evaluation budget, so no task's pruning depends on another task's timing.
@@ -154,19 +150,16 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
       1, options_.max_evaluations / std::max<std::size_t>(1, q));
   BatchEvaluator evaluator(model, options_.threads);
   evaluator.for_each(q, [&](std::size_t k, DecodeContext& ctx) {
-    obs::Span branch_span(obs::names::kSearchExactBranch,
-                          {{"phase", "Exact"}, {"branch", std::uint64_t{k}}});
+    obs::Span branch_span(obs::FrKind::kSearchExactBranch, phase, k);
     ctx.rewind_to(0);
-    Enumerator enumerator(model, ctx, slice);
+    Enumerator enumerator(model, ctx, slice, phase);
     enumerator.run_branch(static_cast<StringId>(k));
     branches[k].fitness = enumerator.best_fitness();
     branches[k].allocation = enumerator.best_allocation();
     branches[k].order = enumerator.best_order();
     branches[k].evaluations = enumerator.evaluations();
     branches[k].have = enumerator.have_best();
-    branch_span.add("evaluations", static_cast<double>(enumerator.evaluations()));
-    branch_span.add("worth",
-                    static_cast<double>(enumerator.best_fitness().total_worth));
+    branch_span.set(std::uint64_t{enumerator.evaluations()});
   });
 
   // Seed the reduction with the empty prefix, then fold branches in index
@@ -186,8 +179,7 @@ AllocatorResult ExactPermutationSearch::allocate(const SystemModel& model,
     }
   }
   result.evaluations = evaluations;
-  span.add("evaluations", static_cast<double>(evaluations));
-  span.add("worth", static_cast<double>(result.fitness.total_worth));
+  span.set(std::uint64_t{evaluations});
   return result;
 }
 

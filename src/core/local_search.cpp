@@ -75,10 +75,10 @@ AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) co
     std::size_t evaluations = 0;
   };
   std::vector<Restart> outcomes(restarts);
+  const obs::PhaseId phase = obs::intern_phase("HillClimb");
   BatchEvaluator evaluator(model, options_.threads);
   evaluator.for_each(restarts, [&](std::size_t r, DecodeContext& ctx) {
-    obs::Span span(obs::names::kSearchRestart,
-                   {{"phase", "HillClimb"}, {"restart", std::uint64_t{r}}});
+    obs::Span span(obs::FrKind::kSearchRestart, phase, r);
     util::Rng restart_rng = util::Rng::stream(base_seed, r);
     std::vector<StringId> current = identity_order(model);
     restart_rng.shuffle(current);
@@ -91,8 +91,7 @@ AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) co
         climb(ctx, current, restart_rng, options_, outcomes[r].evaluations, slice);
     outcomes[r].fitness = optimum.fitness;
     outcomes[r].order = std::move(current);
-    span.add("evaluations", static_cast<double>(outcomes[r].evaluations));
-    span.add("worth", static_cast<double>(optimum.fitness.total_worth));
+    span.set(std::uint64_t{outcomes[r].evaluations});
   });
 
   // The fold is serial and deterministic; improvement events carry the
@@ -103,11 +102,8 @@ AllocatorResult HillClimb::allocate(const SystemModel& model, util::Rng& rng) co
     evaluations += outcomes[r].evaluations;
     if (r == 0 || outcomes[best_r].fitness < outcomes[r].fitness) {
       best_r = r;
-      obs::trace_event(obs::names::kSearchImprove,
-                       {{"phase", "HillClimb"},
-                        {"trial", std::uint64_t{r}},
-                        {"worth", outcomes[r].fitness.total_worth},
-                        {"slackness", outcomes[r].fitness.slackness}});
+      obs::trace_improve(phase, r, 0, outcomes[r].fitness.total_worth,
+                         outcomes[r].fitness.slackness);
     }
   }
 
@@ -196,10 +192,8 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
   // for the exchange decisions so it can never collide with a replica's.
   util::Rng exchange_rng = util::Rng::stream(base_seed, replicas);
 
-  obs::Span span(obs::names::kSearchAnneal,
-                 {{"phase", "Annealing"},
-                  {"replicas", std::uint64_t{replicas}},
-                  {"threads", std::uint64_t{options_.threads}}});
+  const obs::PhaseId phase = obs::intern_phase("Annealing");
+  obs::Span span(obs::FrKind::kSearchAnneal, phase, replicas);
   auto& registry = obs::MetricsRegistry::instance();
   obs::Counter& sweeps_total = registry.counter(obs::names::kTemperSweeps);
   obs::Counter& exchanges_total = registry.counter(obs::names::kTemperExchanges);
@@ -246,13 +240,8 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
         best_fitness = reps[r].best_fitness;
         best_order = reps[r].best_order;
         have_best = true;
-        obs::trace_event(obs::names::kSearchImprove,
-                         {{"phase", "Annealing"},
-                          {"trial", std::uint64_t{r}},
-                          {"iteration", std::uint64_t{sweep}},
-                          {"temperature", reps[r].temperature},
-                          {"worth", best_fitness.total_worth},
-                          {"slackness", best_fitness.slackness}});
+        obs::trace_improve(phase, r, sweep, best_fitness.total_worth,
+                           best_fitness.slackness);
       }
     }
   };
@@ -275,23 +264,16 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
     return false;
   };
   while (pending()) {
-    obs::Span sweep_span(
-        obs::names::kSearchTemperSweep,
-        {{"phase", "Annealing"}, {"sweep", std::uint64_t{sweep}}});
+    obs::Span sweep_span(obs::FrKind::kSearchTemperSweep, phase, sweep);
     run_parallel([&](std::size_t r) {
       TemperReplica& rep = reps[r];
       if (rep.remaining == 0) return;
-      obs::Span rep_span(obs::names::kSearchTemperReplica,
-                         {{"phase", "Annealing"},
-                          {"replica", std::uint64_t{r}},
-                          {"sweep", std::uint64_t{sweep}}});
+      obs::Span rep_span(obs::FrKind::kSearchTemperReplica, phase, r, sweep);
       const std::size_t steps = options_.exchange_interval == 0
                                     ? rep.remaining
                                     : std::min(options_.exchange_interval,
                                                rep.remaining);
       temper_steps(rep, options_, steps);
-      rep_span.add("temperature", rep.temperature);
-      rep_span.add("worth", static_cast<double>(rep.fitness.total_worth));
     });
     sweeps_total.add(1);
 
@@ -318,11 +300,8 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
           std::swap(cold.fitness, hot.fitness);
           swaps_total.add(1);
         }
-        obs::trace_event(obs::names::kSearchTemperExchange,
-                         {{"phase", "Annealing"},
-                          {"sweep", std::uint64_t{sweep}},
-                          {"pair", std::uint64_t{i}},
-                          {"accepted", swapped ? 1 : 0}});
+        obs::trace_event(obs::FrKind::kSearchTemperExchange, phase, sweep, i,
+                         swapped ? 1 : 0);
       }
     }
     fold();
@@ -331,9 +310,7 @@ AllocatorResult SimulatedAnnealing::allocate(const SystemModel& model,
 
   std::size_t evaluations = 0;
   for (const TemperReplica& rep : reps) evaluations += rep.evaluations;
-  span.add("sweeps", static_cast<double>(sweep));
-  span.add("evaluations", static_cast<double>(evaluations));
-  span.add("worth", static_cast<double>(best_fitness.total_worth));
+  span.set(std::uint64_t{evaluations});
 
   AllocatorResult best;
   best.fitness = best_fitness;

@@ -5,7 +5,6 @@
 
 #include "core/decode.hpp"
 #include "core/ordered.hpp"
-#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace tsce::core {
@@ -79,27 +78,20 @@ AllocatorResult Psg::allocate(const SystemModel& model, util::Rng& rng) const {
   AllocatorResult best;
   bool have_best = false;
   std::size_t total_evaluations = 0;
-  const std::string phase = name();
+  const obs::PhaseId phase = obs::intern_phase(name());
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, options_.trials);
        ++trial) {
-    obs::Span span(obs::names::kSearchTrial,
-                   {{"phase", phase}, {"trial", std::uint64_t{trial}}});
+    obs::Span span(obs::FrKind::kSearchTrial, phase, trial);
     util::Rng trial_rng = rng.spawn();
     genitor::Genitor<PermutationProblem> ga(problem, options_.ga);
     auto ga_result =
         ga.run(trial_rng, seed_orders,
                [&](std::size_t iteration, const analysis::Fitness& elite) {
-                 obs::trace_event(obs::names::kSearchImprove,
-                                  {{"phase", phase},
-                                   {"trial", std::uint64_t{trial}},
-                                   {"iteration", std::uint64_t{iteration}},
-                                   {"worth", elite.total_worth},
-                                   {"slackness", elite.slackness}});
+                 obs::trace_improve(phase, trial, iteration, elite.total_worth,
+                                    elite.slackness);
                });
     total_evaluations += ga_result.evaluations;
-    span.add("iterations", static_cast<double>(ga_result.iterations));
-    span.add("evaluations", static_cast<double>(ga_result.evaluations));
-    span.add("best_worth", static_cast<double>(ga_result.best_fitness.total_worth));
+    span.set(std::uint64_t{ga_result.evaluations});
     if (!have_best || best.fitness < ga_result.best_fitness) {
       DecodeResult decoded = decode_order(model, ga_result.best);
       best.allocation = std::move(decoded.allocation);

@@ -1,39 +1,45 @@
 /// \file flight_recorder.hpp
-/// Always-on, fixed-cost flight recorder for the service-era hot path.
+/// The event pipeline: always-on, fixed-cost per-thread rings of binary
+/// events.
 ///
-/// The JSONL tracer (trace.hpp) is all-or-nothing: either every span is
-/// serialized to disk (unaffordable at millions of decodes per second) or
-/// nothing is recorded and a latency spike leaves no evidence.  The flight
-/// recorder fills the gap: every thread owns a fixed-size ring of binary
-/// trace events that is ALWAYS recording — one event is a timestamp read plus
-/// four relaxed stores (~3-5 ns), no branch on any runtime gate — and the
-/// ring simply overwrites its oldest entries.  When something goes wrong the
+/// Every thread owns a fixed-size ring that is ALWAYS recording — one event
+/// is a timestamp read, one compare and five relaxed stores — and the ring
+/// simply overwrites its oldest entries.  Every event the program emits goes
+/// through it: per-decode and per-commit fr.* events, and the search and
+/// bench spans and trace events of trace.hpp.  When something goes wrong the
 /// recent past is still in memory and can be dumped to JSONL:
 ///
 ///   * on demand        — flight_recorder_dump(path),
 ///   * on SIGUSR1       — install_signal_trigger() + poll() from any
 ///                        housekeeping tick (the metrics exporter polls),
-///   * on an anomaly    — a decode slower than the configured watermark or a
-///                        run of consecutive rejected commits triggers one
-///                        automatic dump to the configured path, capturing
-///                        the event window surrounding the anomaly.
+///   * on an anomaly    — a decode slower than the configured watermark
+///                        triggers one automatic dump to the configured path,
+///                        capturing the event window surrounding the anomaly
+///                        together with the spans enclosing it.
 ///
-/// Events are binary and schema-fixed (FrEvent: tick timestamp, kind, tid,
-/// three payload words); the dump converts ticks to seconds, labels each kind
-/// with its registered name from names.hpp, names its payload fields, and
-/// emits trace-compatible JSONL (header record with RunInfo provenance, then
-/// one event record per line, sorted by timestamp) that tools/trace_report
-/// consumes directly.
+/// `--trace` (trace_open) is an unbounded sink on the same rings: it drains
+/// the span and trace-event kinds before their slots are overwritten, at
+/// thread exit, and at trace_close, so one tid space and one clock cover both
+/// outputs.
+///
+/// Events are binary and schema-fixed (tick timestamp, kind, phase id, tid,
+/// three payload words); the single JSONL writer converts ticks to seconds
+/// since the recorder's start, labels each kind with its registered name
+/// from names.hpp, and names its payload fields.  Span kinds become
+/// {"t":"span",..,"dur":..} records, everything else {"t":"event",..}; a dump
+/// starts with a header record carrying RunInfo provenance and is sorted by
+/// timestamp, so tools/trace_report consumes it directly.
 ///
 /// End-of-life ordering: when a thread retires (e.g. a ThreadPool worker
-/// joined mid-run), its ring folds into a global retired ring under the
-/// recorder lock, so a later dump still contains the retired thread's events
-/// — the same fold-on-retire contract the metrics registry shards follow.
+/// joined mid-run), the trace sink drains its ring and the ring then folds
+/// into a global retired ring under the recorder lock, so a later dump still
+/// contains the retired thread's events — the same fold-on-retire contract
+/// the metrics registry shards follow.
 ///
 /// Concurrency: ring slots are relaxed atomics written only by the owning
-/// thread; a concurrent dump reads them without tearing individual words.
-/// The recorder never allocates on the record path (rings are created by a
-/// cold first-touch helper, exactly like metrics shards).
+/// thread; a concurrent dump or drain reads them without tearing individual
+/// words.  The recorder never allocates on the record path (rings are
+/// created, and drained, by cold out-of-line helpers).
 
 #pragma once
 
@@ -44,22 +50,43 @@
 
 namespace tsce::obs {
 
-/// Event vocabulary.  Every kind has a dotted name in names.hpp (kFr*) and
-/// field labels for its payload words (see flight_recorder.cpp).
+/// Event vocabulary.  Every kind has a dotted name in names.hpp and a fixed
+/// payload schema (field labels and encodings, see flight_recorder.cpp).
 enum class FrKind : std::uint16_t {
+  // Ring-only kinds: in dumps, never in a --trace file.
   kDecode = 0,        ///< a0 = latency ns, a1 = prefix reused, a2 = deployed
-  kCommitReject = 1,  ///< a0 = string id, a1 = violation class, a2 = streak
+  kCommitReject = 1,  ///< a0 = string id, a1 = violation class
   kUncommit = 2,      ///< a0 = latency ns, a1 = strings uncommitted
   kRemap = 3,         ///< a0 = latency ns, a1 = migrations, a2 = dropped
   kAnomaly = 4,       ///< a0 = anomaly code, a1 = value, a2 = watermark
   kMark = 5,          ///< user-defined payload (tests, bench phase marks)
+  // Span kinds (obs::Span): ts = start tick, a0 = duration in ticks.
+  kSearchTrial = 6,           ///< a1 = trial, a2 = evaluations
+  kSearchRestart = 7,         ///< a1 = restart, a2 = evaluations
+  kSearchAnneal = 8,          ///< a1 = replicas, a2 = evaluations
+  kSearchExact = 9,           ///< a1 = threads, a2 = evaluations
+  kSearchExactBranch = 10,    ///< a1 = branch, a2 = evaluations
+  kSearchClass = 11,          ///< a1 = class, a2 = members
+  kSearchTemperSweep = 12,    ///< a1 = sweep
+  kSearchTemperReplica = 13,  ///< a1 = replica, a2 = sweep
+  kBenchAlloc = 14,           ///< a1 = run, a2 = metric (double)
+  kBenchUb = 15,              ///< a1 = run, a2 = metric (double)
+  kBenchMicroSpan = 16,       ///< a1 = k
+  // Trace-event kinds (obs::trace_event / trace_improve).
+  /// a0 = trial << 32 | iteration, a1 = worth, a2 = slackness (doubles)
+  kSearchImprove = 17,
+  kSearchTemperExchange = 18,  ///< a0 = sweep, a1 = pair, a2 = accepted
+  kBenchMicroEvent = 19,       ///< a0 = k
 };
-inline constexpr std::size_t kFrKindCount = 6;
+inline constexpr std::size_t kFrKindCount = 20;
+
+/// Interned phase string (the allocator name a span or trace event belongs
+/// to; see obs::intern_phase).  0 = no phase.
+using PhaseId = std::uint16_t;
 
 /// Anomaly codes carried in kAnomaly's first payload word.
 enum class FrAnomaly : std::uint64_t {
-  kSlowDecode = 1,   ///< decode latency exceeded the watermark
-  kRejectBurst = 2,  ///< consecutive rejected commits exceeded the watermark
+  kSlowDecode = 1,  ///< decode latency exceeded the watermark
 };
 
 struct FlightRecorderConfig {
@@ -68,11 +95,6 @@ struct FlightRecorderConfig {
   std::size_t ring_capacity = 4096;
   /// Decode latency (ns) above which an anomaly fires.  0 disables.
   std::uint64_t decode_latency_watermark_ns = 0;
-  /// Consecutive rejected commits on one thread above which an anomaly
-  /// fires.  0 disables.  (Rejections are normal during search — bursts are
-  /// only anomalous for admission-style request streams, so this defaults
-  /// off.)
-  std::uint32_t reject_burst_watermark = 0;
   /// Where an anomaly- or signal-triggered dump lands.  Empty disables
   /// automatic dumps (anomaly events are still recorded in the ring).
   std::string auto_dump_path;
@@ -84,7 +106,9 @@ void flight_recorder_configure(const FlightRecorderConfig& config);
 [[nodiscard]] const FlightRecorderConfig& flight_recorder_config() noexcept;
 
 /// Records one event into the calling thread's ring.  Wait-free after the
-/// thread's first event (which allocates its ring in a cold helper).
+/// thread's first event (which allocates its ring in a cold helper), except
+/// while a trace sink is open and the ring is about to overwrite an undrained
+/// span or trace event.
 void flight_recorder_record(FrKind kind, std::uint64_t a0, std::uint64_t a1 = 0,
                             std::uint64_t a2 = 0) noexcept;
 
@@ -93,14 +117,7 @@ void flight_recorder_record(FrKind kind, std::uint64_t a0, std::uint64_t a1 = 0,
 void flight_recorder_note_decode(std::uint64_t ns, std::uint64_t prefix_reused,
                                  std::uint64_t deployed) noexcept;
 
-/// Records a rejected commit, advancing the calling thread's reject streak
-/// and firing the reject-burst anomaly at the watermark; a successful commit
-/// resets the streak via flight_recorder_note_commit_ok().
-void flight_recorder_note_reject(std::uint64_t string_id,
-                                 std::uint64_t violation) noexcept;
-void flight_recorder_note_commit_ok() noexcept;
-
-/// Dumps every live and retired ring as JSONL (header + ts-sorted events).
+/// Dumps every live and retired ring as JSONL (header + ts-sorted records).
 /// Returns false on I/O failure.
 bool flight_recorder_dump(const std::string& path);
 

@@ -2,8 +2,9 @@
 /// Single registry of every metric and trace-span/event name literal.
 ///
 /// All dotted-path name literals passed to MetricsRegistry::counter/gauge/
-/// histogram, obs::Span, and obs::trace_event live here as constexpr
-/// string_views.  Call sites in src/ reference these constants; call sites in
+/// histogram, and the names of every flight-recorder event kind (FrKind —
+/// spans and trace events included), live here as constexpr string_views.
+/// Call sites in src/ reference these constants; call sites in
 /// bench/ and tools/ may keep inline literals, but tools/tsce_lint verifies
 /// every such literal is declared in this file — so the full telemetry
 /// vocabulary is greppable in one place and a typo ("decode.cals") fails the
@@ -51,7 +52,7 @@ inline constexpr std::string_view kSessionRejectLatency = "session.reject.latenc
 inline constexpr std::string_view kSessionUncommitBatches = "session.uncommit.batches";
 inline constexpr std::string_view kSessionUncommitStrings = "session.uncommit.strings";
 
-// --- search spans and convergence events -----------------------------------
+// --- search spans and convergence events (FrKind span/event kinds) ---------
 inline constexpr std::string_view kSearchTrial = "search.trial";
 inline constexpr std::string_view kSearchRestart = "search.restart";
 inline constexpr std::string_view kSearchAnneal = "search.anneal";
@@ -71,7 +72,7 @@ inline constexpr std::string_view kTemperSweeps = "search.temper.sweeps";
 inline constexpr std::string_view kTemperExchanges = "search.temper.exchanges";
 inline constexpr std::string_view kTemperSwaps = "search.temper.swaps";
 
-// --- flight recorder event names (one per FrKind; see flight_recorder.hpp) --
+// --- ring-only flight recorder kinds (see flight_recorder.hpp) -------------
 inline constexpr std::string_view kFrDecode = "fr.decode";
 inline constexpr std::string_view kFrCommitReject = "fr.commit.reject";
 inline constexpr std::string_view kFrUncommit = "fr.uncommit";

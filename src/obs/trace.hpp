@@ -1,98 +1,91 @@
 /// \file trace.hpp
-/// Structured JSONL tracing for the search allocators and bench harnesses.
+/// Spans, trace events, and the `--trace` JSONL sink.
 ///
-/// Records are newline-delimited JSON objects:
+/// Spans and trace events are flight-recorder kinds (flight_recorder.hpp):
+/// a span writes one binary slot into the calling thread's ring when it
+/// closes (ts = start tick, the payload carries the duration), a trace event
+/// one slot when emitted.  Neither allocates nor builds strings; the phase
+/// string rides along as an interned id.  They are always recorded, so a
+/// flight-recorder dump shows which run and trial a slow decode belongs to.
+///
+/// trace_open() installs a sink that writes the span and trace-event kinds
+/// (never the per-decode fr.* kinds) of every ring to a JSONL file:
 ///   {"t":"header","version":1,"run_info":{...}}          — once, at open
-///   {"t":"span","name":..,"tid":..,"ts":..,"dur":..,"f":{..}}
-///   {"t":"event","name":..,"tid":..,"ts":..,"f":{..}}
-/// Timestamps are steady-clock seconds relative to trace_open.  Spans carry a
-/// "phase" field by convention so tools/trace_report can group the same span
-/// kind ("search.trial") per strategy.
+///   {"t":"span","name":..,"tid":..,"ts":..,"dur":..,"f":{"phase":..,..}}
+///   {"t":"event","name":..,"tid":..,"ts":..,"f":{"phase":..,..}}
+/// Timestamps are seconds on the recorder's clock, shared with
+/// flight_recorder_dump.  Spans carry a "phase" field by convention so
+/// tools/trace_report can group the same span kind ("search.trial") per
+/// strategy.
 ///
-/// Gating is at run time: nothing is recorded until trace_open() installs an
-/// output file (the harnesses' `--trace <path>`); the inactive cost of a span
-/// or event is one relaxed atomic load.  Spans sit at trial/restart
-/// granularity and never inside TSCE_HOT code, so that load is all the
-/// tracer costs an untraced run.
-///
-/// Threading: each thread serializes records into its own buffer (no lock);
-/// the buffer is flushed to the shared file (under the file lock) when the
-/// thread closes its outermost span, when it grows past a threshold, or when
-/// the thread exits.  trace_close() flushes every registered buffer and must
-/// be called after worker pools have been joined (the bench harnesses satisfy
-/// this by construction: BatchEvaluator/ThreadPool are destroyed before the
-/// harness returns).
+/// The sink drains a ring before an undrained slot would be overwritten,
+/// when the ring's thread exits, and at trace_close(), which must be called
+/// after worker pools have been joined (the bench harnesses satisfy this by
+/// construction: BatchEvaluator/ThreadPool are destroyed before the harness
+/// returns).
 
 #pragma once
 
-#include <cstddef>
+#include <bit>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/run_info.hpp"
 
 namespace tsce::obs {
 
-/// One record field: a key plus a numeric or string value.  No allocation —
-/// keys and string values must outlive the call (they are serialized
-/// immediately), which string literals and local std::strings do.
-struct Field {
-  std::string_view key;
-  double num = 0.0;
-  std::string_view str{};
-  bool is_str = false;
-
-  constexpr Field(std::string_view k, double v) noexcept : key(k), num(v) {}
-  constexpr Field(std::string_view k, std::int64_t v) noexcept
-      : key(k), num(static_cast<double>(v)) {}
-  constexpr Field(std::string_view k, std::uint64_t v) noexcept
-      : key(k), num(static_cast<double>(v)) {}
-  constexpr Field(std::string_view k, int v) noexcept
-      : key(k), num(static_cast<double>(v)) {}
-  constexpr Field(std::string_view k, unsigned v) noexcept
-      : key(k), num(static_cast<double>(v)) {}
-  constexpr Field(std::string_view k, std::string_view v) noexcept
-      : key(k), str(v), is_str(true) {}
-  constexpr Field(std::string_view k, const char* v) noexcept
-      : key(k), str(v), is_str(true) {}
-};
-
 /// True between a successful trace_open() and trace_close().
 [[nodiscard]] bool tracing_active() noexcept;
 
-/// Opens \p path for writing and emits the header record.  Returns false on
-/// I/O failure or when a trace is already open.
+/// Opens \p path for writing, emits the header record carrying \p info, and
+/// starts draining spans and trace events recorded from now on.  Returns
+/// false on I/O failure or when a trace is already open.
 bool trace_open(const std::string& path, const RunInfo& info);
 
-/// Flushes every thread buffer and closes the file.  Call after worker
-/// threads have been joined; records appended concurrently may be dropped.
+/// Drains every live ring and closes the file.  Call after worker threads
+/// have been joined; records appended concurrently may be dropped.
 void trace_close();
 
-/// Emits an instantaneous event record.
-void trace_event(std::string_view name, std::initializer_list<Field> fields);
+/// Interns \p phase (an allocator name) and returns its id; the same string
+/// always maps to the same id.  Takes the recorder lock: call once per
+/// allocate(), never per span.  Returns 0 (no phase) for an empty string or
+/// once the 65535 ids are exhausted.
+[[nodiscard]] PhaseId intern_phase(std::string_view phase);
 
-/// RAII span: records name, start timestamp, and duration on destruction.
-/// Fields can be attached at construction or accumulated via add() before the
-/// span closes.  Spans are intended for phase granularity (a GA trial, a
+/// Emits an instantaneous trace event of a trace-event \p kind.
+void trace_event(FrKind kind, PhaseId phase, std::uint64_t a0,
+                 std::uint64_t a1 = 0, std::uint64_t a2 = 0) noexcept;
+
+/// Emits a search.improve event (a new incumbent).  \p trial and
+/// \p iteration are clamped to 32 bits each.
+void trace_improve(PhaseId phase, std::uint64_t trial, std::uint64_t iteration,
+                   double worth, double slackness) noexcept;
+
+/// RAII span of a span \p kind: records start, duration, phase, and two
+/// payload words (see FrKind) when it closes.  While open it is listed on its
+/// thread's open-span stack, so a dump taken inside it shows it with
+/// "open":true.  Spans are intended for phase granularity (a GA trial, a
 /// restart, one bench run) — never the per-candidate decode path.
 class Span {
  public:
-  explicit Span(std::string_view name);
-  Span(std::string_view name, std::initializer_list<Field> fields);
+  explicit Span(FrKind kind, PhaseId phase = 0, std::uint64_t a1 = 0,
+                std::uint64_t a2 = 0) noexcept;
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  void add(std::string_view key, double v);
-  void add(std::string_view key, std::string_view v);
+  /// Sets the second payload word: a result known only at close.
+  void set(std::uint64_t a2) noexcept { a2_ = a2; }
+  void set(double a2) noexcept { a2_ = std::bit_cast<std::uint64_t>(a2); }
 
  private:
-  bool active_ = false;
-  double start_ = 0.0;
-  std::string name_;
-  std::string fields_;  ///< pre-serialized ,"k":v fragments
+  std::uint64_t start_;
+  std::uint64_t a1_;
+  std::uint64_t a2_;
+  FrKind kind_;
+  PhaseId phase_;
 };
 
 }  // namespace tsce::obs

@@ -26,6 +26,7 @@
 #include "core/class_based.hpp"
 #include "obs/exporter.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/trace.hpp"
 #include "core/exact.hpp"
 #include "core/local_search.hpp"
 #include "core/psg.hpp"
@@ -229,14 +230,17 @@ TEST(DeterminismAudit, ClassBasedResultIdenticalAcrossThreadCounts) {
 
 TEST(DeterminismAudit, ResultsIdenticalWithObservabilityEnabled) {
   // The always-on observability layer must be a pure observer: with the
-  // flight recorder armed (small rings, live watermarks) and the metrics
-  // exporter sampling on a tight cadence in the background, search results
-  // stay byte-identical across thread counts — latency histograms and rings
-  // record wall-clock values but nothing ever branches on them.
+  // flight recorder armed (small rings, live watermarks), the trace sink
+  // draining those rings, and the metrics exporter sampling on a tight
+  // cadence in the background, search results stay byte-identical across
+  // thread counts — latency histograms and rings record wall-clock values
+  // but nothing ever branches on them.
   obs::FlightRecorderConfig fr;
   fr.ring_capacity = 256;
   fr.decode_latency_watermark_ns = 1;  // every decode "slow": worst case
   obs::flight_recorder_configure(fr);
+  const std::string trace_path = testing::TempDir() + "determinism_trace.jsonl";
+  ASSERT_TRUE(obs::trace_open(trace_path, obs::RunInfo::current()));
 
   obs::MetricsExporterConfig exporter_config;
   exporter_config.path = testing::TempDir() + "determinism_series.jsonl";
@@ -253,8 +257,10 @@ TEST(DeterminismAudit, ResultsIdenticalWithObservabilityEnabled) {
   }
 
   exporter.stop();
+  obs::trace_close();
   EXPECT_GE(exporter.samples(), 1u);
   std::remove(exporter_config.path.c_str());
+  std::remove(trace_path.c_str());
   obs::flight_recorder_reset();
   obs::flight_recorder_configure(obs::FlightRecorderConfig{});
 }

@@ -1,14 +1,12 @@
 /// \file exporter_test.cpp
 /// MetricsExporter suite: JSONL series shape (header + monotonically
 /// sequenced samples carrying registry snapshots), synchronous export_once,
-/// the final sample taken by stop(), and the OpenMetrics exposition format
-/// (counter _total lines, histogram summary lines, trailing # EOF).
+/// and the final sample taken by stop().
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,14 +16,6 @@
 
 namespace tsce::obs {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.is_open()) << "missing " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
 
 TEST(MetricsExporter, JsonlSeriesHasHeaderAndSequencedSamples) {
   auto& registry = MetricsRegistry::instance();
@@ -103,37 +93,6 @@ TEST(MetricsExporter, StartFailsOnUnwritablePath) {
   config.path = "/nonexistent-dir/exporter.jsonl";
   MetricsExporter exporter(config);
   EXPECT_FALSE(exporter.start());
-}
-
-TEST(MetricsExporter, OpenMetricsExpositionIsRewrittenPerTick) {
-  auto& registry = MetricsRegistry::instance();
-  registry.reset();
-  registry.counter("test.exporter.om.calls").add(3);
-  registry.histogram("test.exporter.om.ns").record(500);
-
-  const std::string path = testing::TempDir() + "exporter.om";
-  MetricsExporterConfig config;
-  config.path = path;
-  config.format = MetricsExporterConfig::Format::kOpenMetrics;
-  config.period_ms = 60'000;
-  MetricsExporter exporter(config);
-  ASSERT_TRUE(exporter.start());
-  EXPECT_TRUE(exporter.export_once());
-  exporter.stop();
-
-  const std::string text = read_file(path);
-  EXPECT_NE(text.find("tsce_test_exporter_om_calls_total 3"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("tsce_test_exporter_om_ns_count 1"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos) << text;
-  // The exposition is terminated by the OpenMetrics EOF marker and is a
-  // whole-file rewrite (exactly one marker).
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
-  EXPECT_EQ(text.find("# EOF"), text.rfind("# EOF"));
-  std::remove(path.c_str());
-  registry.reset();
 }
 
 }  // namespace

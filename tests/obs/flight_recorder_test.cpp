@@ -1,7 +1,7 @@
 /// \file flight_recorder_test.cpp
 /// Flight recorder behaviour suite: ring wrap-around semantics, JSONL dump
-/// validity, anomaly-triggered automatic dumps (slow decode and reject
-/// bursts, including the one-shot latch), the SIGUSR1 trigger + poll path,
+/// validity, anomaly-triggered automatic dumps (slow decode, including the
+/// one-shot latch), the SIGUSR1 trigger + poll path,
 /// and the end-of-life ordering contract — per-thread rings fold into the
 /// retired sink when their thread exits, so a dump after heavy thread churn
 /// still contains every event (zero lost).
@@ -131,36 +131,6 @@ TEST_F(FlightRecorderTest, SlowDecodeAnomalyTriggersOneDumpWithContext) {
   std::remove(path.c_str());
 }
 
-TEST_F(FlightRecorderTest, RejectBurstAnomalyFiresAtTheWatermark) {
-  const std::string path = temp_path("fr_burst.jsonl");
-  FlightRecorderConfig config;
-  config.reject_burst_watermark = 3;
-  config.auto_dump_path = path;
-  flight_recorder_configure(config);
-
-  std::thread worker([] {
-    flight_recorder_note_reject(1, 1);
-    flight_recorder_note_reject(2, 1);
-    flight_recorder_note_commit_ok();  // streak resets: no anomaly yet
-    flight_recorder_note_reject(3, 2);
-    flight_recorder_note_reject(4, 2);
-    flight_recorder_note_reject(5, 2);  // third consecutive: anomaly
-  });
-  worker.join();
-  EXPECT_EQ(flight_recorder_dump_count(), 1u);
-
-  const auto events = read_dump(path);
-  EXPECT_EQ(count_named(events, "fr.commit.reject"), 5u);
-  ASSERT_EQ(count_named(events, "fr.anomaly"), 1u);
-  for (const util::Json& e : events) {
-    if (e.at("name").as_string() != "fr.anomaly") continue;
-    EXPECT_EQ(e.at("f").at("code").as_number(),
-              static_cast<double>(FrAnomaly::kRejectBurst));
-    EXPECT_EQ(e.at("f").at("watermark").as_number(), 3.0);
-  }
-  std::remove(path.c_str());
-}
-
 #ifdef SIGUSR1
 TEST_F(FlightRecorderTest, SignalTriggerDumpsAtTheNextPoll) {
   const std::string path = temp_path("fr_signal.jsonl");
@@ -232,6 +202,17 @@ TEST_F(FlightRecorderTest, KindNamesAreRegistered) {
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kRemap), "fr.remap");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kAnomaly), "fr.anomaly");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kMark), "fr.mark");
+  // Span and trace-event kinds carry the names.hpp span/event names.
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kSearchTrial), "search.trial");
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kSearchTemperReplica),
+            "search.temper.replica");
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kBenchUb), "bench.ub");
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kBenchMicroSpan),
+            "bench.micro.span");
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kSearchImprove),
+            "search.improve");
+  EXPECT_EQ(flight_recorder_kind_name(FrKind::kBenchMicroEvent),
+            "bench.micro.event");
 }
 
 }  // namespace

@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -104,6 +106,125 @@ TEST(TraceReport, AllMalformedInputFailsWithDiagnostic) {
   EXPECT_EQ(r.exit_code, 1) << r.output;
   EXPECT_NE(r.output.find("no span or improvement records"), std::string::npos)
       << r.output;
+  std::remove(path.c_str());
+}
+
+// Lines that parse as JSON but carry wrongly typed or missing fields: each
+// counts as malformed in every mode, never escapes as an exception.
+TEST(TraceReport, WrongTypedRecordsCountAsMalformed) {
+  const std::string path = testing::TempDir() + "tsce_trace_wrong_types.jsonl";
+  const char* const lines[] = {
+      R"({"t":1})",
+      R"({"t":"span"})",
+      R"({"t":"event","name":"search.improve","ts":0.1,"f":{"phase":"PSG","worth":"x"}})",
+  };
+  for (const char* line : lines) {
+    {
+      std::ofstream out(path);
+      out << line << "\n";
+    }
+    for (const char* mode : {"", "--convergence ", "--metrics-series "}) {
+      const RunResult r = run(mode + path);
+      EXPECT_EQ(r.exit_code, 1) << mode << line << "\n" << r.output;
+    }
+    const RunResult r = run(path);
+    EXPECT_NE(r.output.find("1 malformed"), std::string::npos) << line << "\n"
+                                                               << r.output;
+  }
+  // Mixed into the golden trace (which holds two malformed lines of its own),
+  // the bad records are skipped and counted.  --convergence reads only
+  // events, so the name-less span is not malformed there.
+  {
+    std::ifstream golden(fixture());
+    std::ofstream out(path);
+    out << golden.rdbuf();
+    for (const char* line : lines) out << line << "\n";
+  }
+  const RunResult r = run(path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("skipped 5 malformed lines"), std::string::npos)
+      << r.output;
+  const RunResult conv = run("--convergence " + path);
+  EXPECT_EQ(conv.exit_code, 0) << conv.output;
+  EXPECT_NE(conv.output.find("skipped 4 malformed lines"), std::string::npos)
+      << conv.output;
+  std::remove(path.c_str());
+}
+
+/// Extent [begin, end) of the JSON value starting at \p begin (naive: the
+/// golden fixtures hold no brackets or quotes inside strings).
+std::size_t value_end(const std::string& line, std::size_t begin) {
+  if (begin >= line.size()) return begin;
+  const char c = line[begin];
+  if (c == '"') {
+    const std::size_t close = line.find('"', begin + 1);
+    return close == std::string::npos ? line.size() : close + 1;
+  }
+  if (c == '{' || c == '[') {
+    int depth = 0;
+    for (std::size_t i = begin; i < line.size(); ++i) {
+      if (line[i] == '{' || line[i] == '[') ++depth;
+      if ((line[i] == '}' || line[i] == ']') && --depth == 0) return i + 1;
+    }
+    return line.size();
+  }
+  const std::size_t stop = line.find_first_of(",}]", begin);
+  return stop == std::string::npos ? line.size() : stop;
+}
+
+/// One random mutation of a JSONL line: truncate it, swap one value for
+/// another JSON type, or drop one key.
+std::string mutate(const std::string& line, std::mt19937& rng) {
+  if (line.empty()) return line;
+  std::vector<std::size_t> colons;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    if (line[i] == ':') colons.push_back(i);
+  }
+  const unsigned op = rng() % 3;
+  if (op == 0 || colons.empty()) return line.substr(0, rng() % line.size());
+  const std::size_t colon = colons[rng() % colons.size()];
+  const std::size_t v_end = value_end(line, colon + 1);
+  if (op == 1) {
+    static const char* const kValues[] = {R"("x")", "1", "-2.5", "null",
+                                          "true", "[]", "{}", R"({"t":1})"};
+    return line.substr(0, colon + 1) + kValues[rng() % std::size(kValues)] +
+           line.substr(v_end);
+  }
+  // Drop the key: from its opening quote through the value and one comma.
+  const std::size_t key_begin = line.rfind('"', line.rfind('"', colon - 1) - 1);
+  std::size_t end = v_end;
+  if (end < line.size() && line[end] == ',') ++end;
+  return line.substr(0, key_begin) + line.substr(end);
+}
+
+TEST(TraceReport, MutatedGoldenTracesNeverCrash) {
+  std::vector<std::string> golden;
+  {
+    std::ifstream in(fixture());
+    std::string line;
+    while (std::getline(in, line)) golden.push_back(line);
+  }
+  ASSERT_FALSE(golden.empty());
+  const std::string path = testing::TempDir() + "tsce_trace_mutated.jsonl";
+  std::mt19937 rng(20050404);
+  for (int round = 0; round < 40; ++round) {
+    {
+      std::ofstream out(path);
+      for (const std::string& line : golden) {
+        out << (rng() % 2 == 0 ? mutate(line, rng) : line) << "\n";
+      }
+    }
+    for (const char* mode : {"", "--convergence ", "--metrics-series "}) {
+      const RunResult r = run(mode + path);
+      // -1 means the process died on a signal instead of exiting; a
+      // sanitizer build reports through its own banner and exit code 1.
+      EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 1)
+          << "round " << round << " mode '" << mode << "' exit " << r.exit_code
+          << "\n" << r.output;
+      EXPECT_EQ(r.output.find("Sanitizer"), std::string::npos) << r.output;
+      EXPECT_EQ(r.output.find("runtime error"), std::string::npos) << r.output;
+    }
+  }
   std::remove(path.c_str());
 }
 

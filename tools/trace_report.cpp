@@ -66,6 +66,43 @@ std::string field_str(const Json& f, std::string_view key) {
                                                   : std::string();
 }
 
+/// Parses one JSONL line into \p record: an object with a string "t" field.
+/// Anything else counts as malformed.  A record whose fields turn out to have
+/// the wrong types later also counts as malformed (see the callers' catch).
+bool parse_record(const std::string& line, Json& record, std::size_t& malformed) {
+  try {
+    record = Json::parse(line);
+    if (record.is_object() && record.contains("t") && record.at("t").is_string()) {
+      return true;
+    }
+  } catch (const std::exception&) {
+  }
+  ++malformed;
+  return false;
+}
+
+/// True when every field a --metrics-series fold reads from a sample's
+/// "metrics" object is a number.
+bool valid_sample_metrics(const Json& metrics) {
+  if (!metrics.is_object()) return false;
+  if (metrics.contains("counters")) {
+    if (!metrics.at("counters").is_object()) return false;
+    for (const auto& [name, v] : metrics.at("counters").as_object()) {
+      if (!v.is_number()) return false;
+    }
+  }
+  if (metrics.contains("histograms")) {
+    if (!metrics.at("histograms").is_object()) return false;
+    for (const auto& [name, h] : metrics.at("histograms").as_object()) {
+      if (!h.is_object()) return false;
+      for (const char* key : {"count", "mean", "p50", "p90", "p99", "p999", "max"}) {
+        if (h.contains(key) && !h.at(key).is_number()) return false;
+      }
+    }
+  }
+  return true;
+}
+
 struct SpanGroup {
   RunningStats dur_s;
 };
@@ -96,13 +133,14 @@ struct Convergence {
   double t_best_s = 0.0;
 };
 
+/// Prints the run-provenance block.  Throws (before printing anything) when
+/// a numeric field has the wrong type.
 void print_run_info(const Json& info) {
+  const std::string git_sha = field_str(info, "git_sha");
+  const std::string build_type = field_str(info, "build_type");
   std::printf("run: git %s, %s build, seed %lld, %lld threads\n",
-              info.contains("git_sha") ? info.at("git_sha").as_string().c_str()
-                                       : "?",
-              info.contains("build_type")
-                  ? info.at("build_type").as_string().c_str()
-                  : "?",
+              git_sha.empty() ? "?" : git_sha.c_str(),
+              build_type.empty() ? "?" : build_type.c_str(),
               static_cast<long long>(field_num(info, "seed")),
               static_cast<long long>(field_num(info, "threads", 1)));
   if (info.contains("params") && info.at("params").is_object()) {
@@ -138,38 +176,38 @@ int run_convergence(const std::vector<std::string>& paths) {
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       Json record;
-      try {
-        record = Json::parse(line);
-      } catch (const std::exception&) {
-        ++malformed;
-        continue;
-      }
-      if (!record.is_object() || !record.contains("t")) {
-        ++malformed;
-        continue;
-      }
+      if (!parse_record(line, record, malformed)) continue;
       const std::string& type = record.at("t").as_string();
       if (type == "header") {
         if (record.contains("run_info")) {
           const Json& info = record.at("run_info");
-          if (info.contains("git_sha")) git_sha = info.at("git_sha").as_string();
+          if (info.contains("git_sha") && info.at("git_sha").is_string()) {
+            git_sha = info.at("git_sha").as_string();
+          }
           if (info.contains("params") && info.at("params").is_object() &&
-              info.at("params").contains("scenario")) {
+              info.at("params").contains("scenario") &&
+              info.at("params").at("scenario").is_string()) {
             scenario = info.at("params").at("scenario").as_string();
           }
         }
         continue;
       }
       if (type != "event" ||
-          record.at("name").as_string() != tsce::obs::names::kSearchImprove) {
+          field_str(record, "name") != tsce::obs::names::kSearchImprove) {
         continue;
       }
-      const Json fields = record.contains("f") ? record.at("f") : Json::object();
-      std::printf("%s,%s,%s,%.6f,%.0f,%.6f\n", git_sha.c_str(),
-                  scenario.c_str(), field_str(fields, "phase").c_str(),
-                  field_num(record, "ts"), field_num(fields, "worth"),
-                  field_num(fields, "slackness"));
-      ++rows;
+      try {
+        const Json fields = record.contains("f") ? record.at("f") : Json::object();
+        const double ts = field_num(record, "ts");
+        const double worth = field_num(fields, "worth");
+        const double slackness = field_num(fields, "slackness");
+        std::printf("%s,%s,%s,%.6f,%.0f,%.6f\n", git_sha.c_str(),
+                    scenario.c_str(), field_str(fields, "phase").c_str(), ts,
+                    worth, slackness);
+        ++rows;
+      } catch (const std::exception&) {
+        ++malformed;
+      }
     }
   }
   if (rows == 0) {
@@ -204,25 +242,25 @@ int run_metrics_series(const std::string& path, bool csv) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     Json record;
-    try {
-      record = Json::parse(line);
-    } catch (const std::exception&) {
-      ++malformed;
-      continue;
-    }
-    if (!record.is_object() || !record.contains("t")) {
-      ++malformed;
-      continue;
-    }
+    if (!parse_record(line, record, malformed)) continue;
     const std::string& type = record.at("t").as_string();
     if (type == "header") {
-      if (!csv && record.contains("run_info")) {
-        print_run_info(record.at("run_info"));
+      try {
+        if (!csv && record.contains("run_info")) {
+          print_run_info(record.at("run_info"));
+        }
+      } catch (const std::exception&) {
+        ++malformed;
       }
       continue;
     }
     if (type != "sample" || !record.contains("metrics")) continue;
-    const double t_s = field_num(record, "t_s");
+    if (!record.contains("t_s") || !record.at("t_s").is_number() ||
+        !valid_sample_metrics(record.at("metrics"))) {
+      ++malformed;
+      continue;
+    }
+    const double t_s = record.at("t_s").as_number();
     if (samples == 0) {
       t_first = t_s;
       first_metrics = record.at("metrics");
@@ -516,67 +554,65 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     Json record;
+    if (!parse_record(line, record, malformed)) continue;
+    // Every field is read before any table is touched, so a record with a
+    // wrongly typed field is skipped whole.
     try {
-      record = Json::parse(line);
+      const std::string& type = record.at("t").as_string();
+      if (type == "header") {
+        if (record.contains("run_info")) print_run_info(record.at("run_info"));
+        continue;
+      }
+      const Json fields =
+          record.contains("f") ? record.at("f") : Json::object();
+      if (type == "span") {
+        const std::string phase = field_str(fields, "phase");
+        std::string key = record.at("name").as_string();
+        if (!phase.empty()) key += " [" + phase + "]";
+        const double dur = field_num(record, "dur");
+        auto [it, inserted] = spans.try_emplace(key);
+        if (inserted) span_order.push_back(key);
+        it->second.dur_s.add(dur);
+      } else if (type == "event" &&
+                 record.at("name").as_string() == tsce::obs::names::kSearchImprove) {
+        Improvement imp;
+        imp.ts = field_num(record, "ts");
+        imp.phase = field_str(fields, "phase");
+        imp.trial = field_num(fields, "trial");
+        imp.iteration = field_num(fields, "iteration");
+        imp.worth = field_num(fields, "worth");
+        imp.slackness = field_num(fields, "slackness");
+        improvements.push_back(imp);
+
+        auto [it, inserted] = convergence.try_emplace(imp.phase);
+        if (inserted) conv_order.push_back(imp.phase);
+        Convergence& c = it->second;
+        if (c.improvements == 0) {
+          c.first_worth = imp.worth;
+          c.t_first_s = imp.ts;
+          c.best_worth = imp.worth;
+          c.best_slackness = imp.slackness;
+          c.t_best_s = imp.ts;
+        } else if (imp.worth > c.best_worth ||
+                   (imp.worth == c.best_worth &&
+                    imp.slackness > c.best_slackness)) {
+          c.best_worth = imp.worth;
+          c.best_slackness = imp.slackness;
+          c.t_best_s = imp.ts;
+        }
+        ++c.improvements;
+      } else if (type == "event") {
+        const std::string name = record.at("name").as_string();
+        const double ts = field_num(record, "ts");
+        auto [it, inserted] = events.try_emplace(name);
+        if (inserted) event_order.push_back(name);
+        EventGroup& g = it->second;
+        if (g.count == 0) g.t_first_s = ts;
+        g.t_last_s = ts;
+        ++g.count;
+      }
     } catch (const std::exception&) {
       ++malformed;
-      continue;
-    }
-    if (!record.is_object() || !record.contains("t")) {
-      ++malformed;
-      continue;
-    }
-    const std::string& type = record.at("t").as_string();
-    if (type == "header") {
-      if (record.contains("run_info")) print_run_info(record.at("run_info"));
-      continue;
-    }
-    const Json fields =
-        record.contains("f") ? record.at("f") : Json::object();
-    if (type == "span") {
-      const std::string phase = field_str(fields, "phase");
-      std::string key = record.at("name").as_string();
-      if (!phase.empty()) key += " [" + phase + "]";
-      auto [it, inserted] = spans.try_emplace(key);
-      if (inserted) span_order.push_back(key);
-      it->second.dur_s.add(field_num(record, "dur"));
-    } else if (type == "event" &&
-               record.at("name").as_string() == tsce::obs::names::kSearchImprove) {
-      Improvement imp;
-      imp.ts = field_num(record, "ts");
-      imp.phase = field_str(fields, "phase");
-      imp.trial = field_num(fields, "trial");
-      imp.iteration = field_num(fields, "iteration");
-      imp.worth = field_num(fields, "worth");
-      imp.slackness = field_num(fields, "slackness");
-      improvements.push_back(imp);
-
-      auto [it, inserted] = convergence.try_emplace(imp.phase);
-      if (inserted) conv_order.push_back(imp.phase);
-      Convergence& c = it->second;
-      if (c.improvements == 0) {
-        c.first_worth = imp.worth;
-        c.t_first_s = imp.ts;
-        c.best_worth = imp.worth;
-        c.best_slackness = imp.slackness;
-        c.t_best_s = imp.ts;
-      } else if (imp.worth > c.best_worth ||
-                 (imp.worth == c.best_worth &&
-                  imp.slackness > c.best_slackness)) {
-        c.best_worth = imp.worth;
-        c.best_slackness = imp.slackness;
-        c.t_best_s = imp.ts;
-      }
-      ++c.improvements;
-    } else if (type == "event") {
-      const std::string name = record.at("name").as_string();
-      auto [it, inserted] = events.try_emplace(name);
-      if (inserted) event_order.push_back(name);
-      EventGroup& g = it->second;
-      const double ts = field_num(record, "ts");
-      if (g.count == 0) g.t_first_s = ts;
-      g.t_last_s = ts;
-      ++g.count;
     }
   }
 
