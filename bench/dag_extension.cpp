@@ -1,19 +1,22 @@
 /// \file dag_extension.cpp
 /// Extension bench (E16): the paper's footnote 2 anticipates DAG-structured
-/// strings in the final ARMS program.  This bench exercises the DAG module:
-///
-///   * equivalence check — chain workloads analyzed via the DAG module match
-///     the linear pipeline exactly (worth/slackness of the MWF allocation);
-///   * DAG workloads — allocation statistics on random fork/join graphs, and
-///     how much latency headroom the critical-path analysis recovers versus
-///     the (pessimistic) chain-sum bound a linear analysis would impose.
+/// strings in the final ARMS program.  A string is an edge list, so random
+/// fork/join workloads (workload::generate_dag) run through the same IMR,
+/// session, searches and LP bound as the paper's chains.  Per instance the
+/// bench reports MWF, PSG at the reduced harness budget and the LP worth
+/// bound, and how much latency headroom the critical-path analysis recovers
+/// versus the chain-sum bound a linear analysis would impose.  Every
+/// allocation is re-checked with the batch feasibility analysis; a failure
+/// exits 1.
 
-#include <algorithm>
 #include <cstdio>
 
+#include "analysis/estimates.hpp"
+#include "analysis/feasibility.hpp"
 #include "core/ordered.hpp"
-#include "dag/allocator.hpp"
-#include "dag/generator.hpp"
+#include "core/psg.hpp"
+#include "harness.hpp"
+#include "lp/upper_bound.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -27,8 +30,7 @@ int main(int argc, char** argv) {
   std::int64_t seed = 61;
   bool csv = false;
   util::Flags flags(
-      "dag_extension — DAG-structured strings: chain equivalence plus "
-      "fork/join allocation statistics");
+      "dag_extension — DAG-structured strings through MWF, PSG and the LP bound");
   flags.add("machines", &machines, "machine count M");
   flags.add("strings", &strings, "string count Q");
   flags.add("runs", &runs, "instances");
@@ -36,71 +38,66 @@ int main(int argc, char** argv) {
   flags.add("csv", &csv, "emit CSV");
   if (!flags.parse(argc, argv)) return flags.exit_code();
 
-  // Part 1: chains through both analyses.
-  std::printf("== Part 1: chain workloads, linear vs DAG module ==\n\n");
-  util::Table equiv({"run", "linear MWF worth", "DAG MWF worth", "match"});
+  auto config =
+      workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);
+  config.num_machines = static_cast<std::size_t>(machines);
+  config.num_strings = static_cast<std::size_t>(strings);
+  config.min_apps_per_string = 2;
+  config.max_apps_per_string = 8;
+  const core::Psg psg(bench::ScenarioBenchConfig{}.psg_options());
+
+  util::Table table({"run", "MWF worth", "PSG worth", "UB worth", "PSG slackness",
+                     "critical-path / chain-sum latency"});
+  util::RunningStats mwf_stats;
+  util::RunningStats psg_stats;
+  util::RunningStats ub_stats;
+  util::RunningStats ratio_stats;
   util::Rng master(static_cast<std::uint64_t>(seed));
   for (std::int64_t run = 0; run < runs; ++run) {
     util::Rng rng = master.spawn();
-    auto config =
-        workload::GeneratorConfig::for_scenario(workload::Scenario::kHighlyLoaded);
-    config.num_machines = static_cast<std::size_t>(machines);
-    config.num_strings = static_cast<std::size_t>(strings);
-    const model::SystemModel linear = workload::generate(config, rng);
-    util::Rng r(1);
-    const auto lin = core::MostWorthFirst{}.allocate(linear, r);
-    const auto dag_result = dag::allocate_most_worth_first(dag::lift(linear));
-    equiv.add_row({std::to_string(run), std::to_string(lin.fitness.total_worth),
-                   std::to_string(dag_result.fitness.total_worth),
-                   lin.fitness.total_worth == dag_result.fitness.total_worth
-                       ? "yes"
-                       : "NO"});
-  }
-  if (csv) {
-    equiv.print_csv();
-  } else {
-    equiv.print();
-  }
+    const model::SystemModel m = workload::generate_dag(config, rng);
+    util::Rng search_rng = rng.spawn();
+    const auto mwf = core::MostWorthFirst{}.allocate(m, search_rng);
+    const auto best = psg.allocate(m, search_rng);
+    const auto ub = lp::upper_bound_worth(m);
+    for (const auto* alloc : {&mwf.allocation, &best.allocation}) {
+      if (!analysis::check_feasibility(m, *alloc).feasible()) {
+        std::fprintf(stderr, "error: run %lld produced an infeasible allocation\n",
+                     static_cast<long long>(run));
+        return 1;
+      }
+    }
 
-  // Part 2: genuine DAG workloads.
-  std::printf("\n== Part 2: fork/join DAG workloads ==\n\n");
-  util::Table dag_table({"run", "worth deployed", "strings deployed", "slackness",
-                         "critical-path / chain-sum latency"});
-  util::RunningStats ratio_stats;
-  for (std::int64_t run = 0; run < runs; ++run) {
-    util::Rng rng = master.spawn();
-    dag::DagGeneratorConfig config;
-    config.num_machines = static_cast<std::size_t>(machines);
-    config.num_strings = static_cast<std::size_t>(strings);
-    const dag::DagSystemModel m = dag::generate_dag_system(config, rng);
-    const auto result = dag::allocate_most_worth_first(m);
-
-    // Critical-path vs chain-sum latency over deployed strings.
-    const auto est = dag::estimate_all(m, result.allocation);
+    // Critical-path vs chain-sum latency over the MWF deployment.
+    const auto est = analysis::estimate_all(m, mwf.allocation);
     util::RunningStats ratio;
     for (std::size_t k = 0; k < m.num_strings(); ++k) {
-      if (!result.allocation.deployed(static_cast<model::StringId>(k))) continue;
+      if (!mwf.allocation.deployed(static_cast<model::StringId>(k))) continue;
       double chain_sum = 0.0;
       for (const double c : est.comp[k]) chain_sum += c;
       for (const double t : est.tran[k]) chain_sum += t;
-      const double critical = est.latency(m, static_cast<model::StringId>(k));
+      const double critical = est.latency(static_cast<model::StringId>(k));
       if (chain_sum > 0.0) ratio.add(critical / chain_sum);
     }
     ratio_stats.merge(ratio);
-    dag_table.add_row(
-        {std::to_string(run), std::to_string(result.fitness.total_worth),
-         std::to_string(result.strings_deployed) + "/" + std::to_string(strings),
-         util::Table::num(result.fitness.slackness, 3),
-         util::format_mean_ci(ratio, 2)});
+    mwf_stats.add(mwf.fitness.total_worth);
+    psg_stats.add(best.fitness.total_worth);
+    ub_stats.add(ub.value);
+    table.add_row({std::to_string(run), std::to_string(mwf.fitness.total_worth),
+                   std::to_string(best.fitness.total_worth),
+                   util::Table::num(ub.value, 1),
+                   util::Table::num(best.fitness.slackness, 3),
+                   util::format_mean_ci(ratio, 2)});
   }
   if (csv) {
-    dag_table.print_csv();
+    table.print_csv();
   } else {
-    dag_table.print();
+    table.print();
   }
-  std::printf("\nMean critical-path/chain-sum ratio %.2f: the DAG analysis "
-              "recovers the latency headroom a chain-sum bound would waste on "
-              "parallel branches.\n",
+  std::printf("\nMean worth: MWF %.1f, PSG %.1f, UB %.1f.  Mean critical-path/"
+              "chain-sum ratio %.2f: the DAG analysis recovers the latency "
+              "headroom a chain-sum bound would waste on parallel branches.\n",
+              mwf_stats.mean(), psg_stats.mean(), ub_stats.mean(),
               ratio_stats.mean());
   return 0;
 }

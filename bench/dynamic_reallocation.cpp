@@ -33,8 +33,8 @@ tsce::model::SystemModel scale_subset(const tsce::model::SystemModel& model,
   for (std::size_t k = 0; k < grown.strings.size(); k += 2) {
     for (auto& a : grown.strings[k].apps) {
       for (auto& t : a.nominal_time_s) t *= factor;
-      a.output_kbytes *= factor;
     }
+    for (auto& e : grown.strings[k].edges) e.kbytes *= factor;
   }
   return grown;
 }

@@ -8,8 +8,6 @@
 #include <thread>
 
 #include "analysis/estimates.hpp"
-#include "dag/allocator.hpp"
-#include "dag/generator.hpp"
 #include "model/serialization.hpp"
 #include "analysis/session.hpp"
 #include "core/decode.hpp"
@@ -342,15 +340,20 @@ BENCHMARK(BM_Simulate)->Unit(benchmark::kMillisecond);
 
 void BM_DagMapString(benchmark::State& state) {
   util::Rng rng(7);
-  dag::DagGeneratorConfig config;
+  workload::GeneratorConfig config;
   config.num_machines = static_cast<std::size_t>(state.range(0));
   config.num_strings = 12;
-  const auto m = dag::generate_dag_system(config, rng);
-  const dag::DagUtilization util(m);
+  config.min_apps_per_string = 2;
+  config.max_apps_per_string = 8;
+  const auto m = workload::generate_dag(config, rng);
+  const analysis::UtilizationState util(m);
+  core::ImrScratch scratch;
+  std::vector<model::MachineId> assignment;
   std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dag::dag_map_string(m, util, static_cast<model::StringId>(k)));
+    core::imr_map_string_into(m, util, static_cast<model::StringId>(k), scratch,
+                              assignment);
+    benchmark::DoNotOptimize(assignment.data());
     k = (k + 1) % m.num_strings();
   }
 }

@@ -8,27 +8,23 @@
 ///          │                                      ├──> fuse ──> display
 ///          └─────> sonar-filter ──> sonar-class ──┘
 ///
-/// The example maps the DAG with the generalized IMR, verifies the two-stage
-/// feasibility, and contrasts the critical-path latency with the chain-sum
-/// bound a purely linear model would have to assume.
+/// The example builds the DAG as an edge list on an ordinary SystemModel,
+/// allocates with the paper's Most Worth First heuristic (whose IMR walks the
+/// DAG's frontier), verifies the two-stage feasibility, and contrasts the
+/// critical-path latency with the chain-sum bound a purely linear model would
+/// have to assume.
 
 #include <cstdio>
 
-#include "dag/allocator.hpp"
-#include "dag/model.hpp"
+#include "analysis/estimates.hpp"
+#include "analysis/feasibility.hpp"
+#include "core/ordered.hpp"
+#include "model/system_model.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace tsce;
-  dag::DagSystemModel system;
-  system.network = model::Network(4);
-  for (model::MachineId j1 = 0; j1 < 4; ++j1) {
-    for (model::MachineId j2 = 0; j2 < 4; ++j2) {
-      if (j1 != j2) system.network.set_bandwidth_mbps(j1, j2, 6.0);
-    }
-  }
-
-  dag::DagString mission;
+  model::AppString mission;
   mission.name = "surveillance-picture";
   mission.period_s = 5.0;
   mission.max_latency_s = 14.0;
@@ -45,40 +41,28 @@ int main() {
     a.nominal_util.assign(4, utils[i]);
     mission.apps.push_back(std::move(a));
   }
+  // Sorted by (from, to), as SystemModel::validate() requires.
   mission.edges = {
       {0, 1, 120.0},  // ingest -> radar-filter
       {0, 3, 150.0},  // ingest -> sonar-filter
       {1, 2, 60.0},   // radar-filter -> radar-track
-      {3, 4, 70.0},   // sonar-filter -> sonar-class
       {2, 5, 30.0},   // radar-track -> fuse
+      {3, 4, 70.0},   // sonar-filter -> sonar-class
       {4, 5, 30.0},   // sonar-class -> fuse
       {5, 6, 20.0},   // fuse -> display
   };
-  system.strings.push_back(mission);
 
+  model::SystemModelBuilder builder(4);
+  builder.uniform_bandwidth(6.0).add_string(std::move(mission));
   // A background navigation chain competes for the same machines.
-  dag::DagString nav;
-  nav.name = "nav-chain";
-  nav.period_s = 8.0;
-  nav.max_latency_s = 40.0;
-  nav.worth = model::Worth::kMedium;
+  builder.begin_string(8.0, 40.0, model::Worth::kMedium, "nav-chain");
   for (int i = 0; i < 3; ++i) {
-    model::Application a;
-    a.name = "nav-" + std::to_string(i);
-    a.nominal_time_s.assign(4, 2.0);
-    a.nominal_util.assign(4, 0.4);
-    nav.apps.push_back(std::move(a));
+    builder.add_app(2.0, 0.4, i < 2 ? 40.0 : 0.0, "nav-" + std::to_string(i));
   }
-  nav.edges = {{0, 1, 40.0}, {1, 2, 40.0}};
-  system.strings.push_back(nav);
+  const model::SystemModel system = builder.build();  // validates the DAG
 
-  const auto problems = system.validate();
-  if (!problems.empty()) {
-    std::printf("model invalid: %s\n", problems.front().c_str());
-    return 1;
-  }
-
-  const auto result = dag::allocate_most_worth_first(system);
+  util::Rng rng(1);
+  const auto result = core::MostWorthFirst{}.allocate(system, rng);
   std::printf("== DAG mission allocation ==\n");
   std::printf("worth deployed: %d of %d; slackness %.3f\n\n",
               result.fitness.total_worth, system.total_worth_available(),
@@ -92,15 +76,15 @@ int main() {
   }
   table.print();
 
-  const auto est = dag::estimate_all(system, result.allocation);
+  const auto est = analysis::estimate_all(system, result.allocation);
   double chain_sum = 0.0;
   for (const double c : est.comp[0]) chain_sum += c;
   for (const double t : est.tran[0]) chain_sum += t;
-  const double critical = est.latency(system, 0);
+  const double critical = est.latency(0);
   std::printf("\nmission latency: critical path %.2f s (chain-sum bound would "
               "be %.2f s) against Lmax = %.2f s\n",
               critical, chain_sum, system.strings[0].max_latency_s);
-  const auto report = dag::check_feasibility(system, result.allocation);
+  const auto report = analysis::check_feasibility(system, result.allocation);
   std::printf("two-stage feasibility: %s\n", report.feasible() ? "PASS" : "FAIL");
   return report.feasible() ? 0 : 1;
 }

@@ -22,17 +22,31 @@ namespace tsce::analysis {
 struct TimeEstimates {
   /// comp[k][i] = estimated computation time of a_i^k, eq. (5).
   std::vector<std::vector<double>> comp;
-  /// tran[k][i] = estimated transfer time of O[i] of string k, eq. (6);
-  /// tran[k] has size n_k - 1 (no entry for the final app).
+  /// tran[k][e] = estimated transfer time of edge e of string k, eq. (6).
   std::vector<std::vector<double>> tran;
   /// Scheduling priority value per string under the chosen rule — relative
   /// tightness T[k] for the paper's default (NaN for undeployed strings).
   std::vector<double> tightness;
+  /// critical_path_latency of each deployed string (NaN otherwise).
+  std::vector<double> latency_s;
 
-  /// Estimated end-to-end latency of string k: sum of all computation and
-  /// transfer estimates along the string.
-  [[nodiscard]] double latency(model::StringId k) const noexcept;
+  /// Estimated end-to-end latency of string k along its critical path.
+  [[nodiscard]] double latency(model::StringId k) const noexcept {
+    return latency_s[static_cast<std::size_t>(k)];
+  }
 };
+
+/// Eq. (1) end-to-end latency of string \p s under per-app estimates
+/// \p comp and per-edge estimates \p tran: the longest path through the
+/// string, found first and then summed — all its computations in index
+/// order, then all its transfers.  On a chain the critical path is the whole
+/// string, so this is the historical chain sum in its historical fold order.
+/// \p start and \p pred are scratch of at least s.size() entries.
+[[nodiscard]] double critical_path_latency(const model::AppString& s,
+                                           std::span<const double> comp,
+                                           std::span<const double> tran,
+                                           std::span<double> start,
+                                           std::span<model::AppIndex> pred) noexcept;
 
 /// Estimated computation time of one deployed app (k,i), given the resident
 /// sets in \p util and per-string tightness values \p t_of.
@@ -42,12 +56,12 @@ struct TimeEstimates {
                                         std::span<const double> t_of,
                                         model::StringId k, model::AppIndex i) noexcept;
 
-/// Estimated transfer time of the output of deployed app (k,i), i < n_k - 1.
+/// Estimated transfer time of edge e of deployed string k.
 [[nodiscard]] double estimate_tran_time(const model::SystemModel& model,
                                         const model::Allocation& alloc,
                                         const UtilizationState& util,
                                         std::span<const double> t_of,
-                                        model::StringId k, model::AppIndex i) noexcept;
+                                        model::StringId k, model::AppIndex e) noexcept;
 
 /// Computes estimates for every deployed string of \p alloc from scratch,
 /// prioritizing by \p rule (the paper's relative tightness by default).

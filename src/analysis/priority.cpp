@@ -1,5 +1,7 @@
 #include "analysis/priority.hpp"
 
+#include <vector>
+
 #include "analysis/tightness.hpp"
 
 namespace tsce::analysis {
@@ -15,11 +17,18 @@ const char* to_string(PriorityRule rule) noexcept {
 
 double priority_value(const model::SystemModel& model,
                       const model::Allocation& alloc, model::StringId k,
-                      PriorityRule rule) noexcept {
+                      PriorityRule rule) {
+  std::vector<double> path_start(model.strings[static_cast<std::size_t>(k)].size());
+  return priority_value(model, alloc, k, rule, path_start);
+}
+
+double priority_value(const model::SystemModel& model,
+                      const model::Allocation& alloc, model::StringId k,
+                      PriorityRule rule, std::span<double> start) noexcept {
   const auto& s = model.strings[static_cast<std::size_t>(k)];
   switch (rule) {
     case PriorityRule::kRelativeTightness:
-      return relative_tightness(model, alloc, k);
+      return relative_tightness(model, alloc, k, start);
     case PriorityRule::kRateMonotonic:
       return 1.0 / s.period_s;
     case PriorityRule::kWorth:

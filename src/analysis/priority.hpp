@@ -10,6 +10,8 @@
 
 #pragma once
 
+#include <span>
+
 #include "model/allocation.hpp"
 #include "model/system_model.hpp"
 #include "model/types.hpp"
@@ -32,6 +34,12 @@ enum class PriorityRule {
 /// id (see higher_priority in tightness.hpp).
 [[nodiscard]] double priority_value(const model::SystemModel& model,
                                     const model::Allocation& alloc,
-                                    model::StringId k, PriorityRule rule) noexcept;
+                                    model::StringId k, PriorityRule rule);
+/// Allocation-free variant: \p start is longest-path scratch of at least
+/// n_k entries (see relative_tightness).
+[[nodiscard]] double priority_value(const model::SystemModel& model,
+                                    const model::Allocation& alloc,
+                                    model::StringId k, PriorityRule rule,
+                                    std::span<double> start) noexcept;
 
 }  // namespace tsce::analysis

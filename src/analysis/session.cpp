@@ -67,12 +67,13 @@ AllocationSession::AllocationSession(const SystemModel& model, PriorityRule rule
   tran_off_.resize(q + 1);
   std::uint32_t apps = 0;
   std::uint32_t trans = 0;
+  std::size_t longest = 0;
   for (std::size_t k = 0; k < q; ++k) {
     app_off_[k] = apps;
     tran_off_[k] = trans;
-    const auto n = static_cast<std::uint32_t>(model.strings[k].size());
-    apps += n;
-    trans += n > 0 ? n - 1 : 0;
+    apps += static_cast<std::uint32_t>(model.strings[k].size());
+    trans += static_cast<std::uint32_t>(model.strings[k].edges.size());
+    longest = std::max(longest, model.strings[k].size());
   }
   app_off_[q] = apps;
   tran_off_[q] = trans;
@@ -83,6 +84,8 @@ AllocationSession::AllocationSession(const SystemModel& model, PriorityRule rule
   affected_strings_.reserve(q);
   comp_journal_.reserve(apps);
   tran_journal_.reserve(trans);
+  path_start_.resize(longest);
+  path_pred_.resize(longest);
 }
 
 void AllocationSession::snapshot_into(SessionSnapshot& out) const {
@@ -110,28 +113,11 @@ std::size_t AllocationSession::state_bytes() const noexcept {
 void AllocationSession::uncommit(StringId k) {
   const auto ku = static_cast<std::size_t>(k);
   assert(alloc_.deployed(k));
-  const auto& s = model_->strings[ku];
 
   // Resources the string occupied; their residents need re-estimation.
   touched_machines_.clear();
   touched_routes_.clear();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(i));
-    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-        touched_machines_.end()) {
-      touched_machines_.push_back(j);
-    }
-    if (i + 1 < s.size()) {
-      const MachineId j2 = alloc_.machine_of(k, static_cast<AppIndex>(i + 1));
-      if (j != j2) {
-        const auto route = std::make_pair(j, j2);
-        if (std::find(touched_routes_.begin(), touched_routes_.end(), route) ==
-            touched_routes_.end()) {
-          touched_routes_.push_back(route);
-        }
-      }
-    }
-  }
+  note_touched(k, alloc_.machines_of(k));
 
   util_.remove_string(alloc_, k);
   alloc_.clear_string(k);
@@ -168,24 +154,7 @@ void AllocationSession::uncommit_all(std::span<const StringId> ks) {
   touched_routes_.clear();
   for (const StringId k : ks) {
     assert(alloc_.deployed(k));
-    const auto& s = model_->strings[static_cast<std::size_t>(k)];
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(i));
-      if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-          touched_machines_.end()) {
-        touched_machines_.push_back(j);
-      }
-      if (i + 1 < s.size()) {
-        const MachineId j2 = alloc_.machine_of(k, static_cast<AppIndex>(i + 1));
-        if (j != j2) {
-          const auto route = std::make_pair(j, j2);
-          if (std::find(touched_routes_.begin(), touched_routes_.end(), route) ==
-              touched_routes_.end()) {
-            touched_routes_.push_back(route);
-          }
-        }
-      }
-    }
+    note_touched(k, alloc_.machines_of(k));
   }
 
   util_.remove_strings(alloc_, ks);
@@ -229,13 +198,32 @@ void AllocationSession::reset() {
   std::fill(tran_.begin(), tran_.end(), std::numeric_limits<double>::quiet_NaN());
 }
 
+TSCE_HOT void AllocationSession::note_touched(StringId k,
+                                             std::span<const MachineId> assignment) {
+  const auto& s = model_->strings[static_cast<std::size_t>(k)];
+  for (const MachineId j : assignment) {
+    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
+        touched_machines_.end()) {
+      touched_machines_.push_back(j);
+    }
+  }
+  for (const model::Edge& e : s.edges) {
+    const auto route = std::make_pair(assignment[static_cast<std::size_t>(e.from)],
+                                      assignment[static_cast<std::size_t>(e.to)]);
+    if (route.first != route.second &&
+        std::find(touched_routes_.begin(), touched_routes_.end(), route) ==
+            touched_routes_.end()) {
+      touched_routes_.push_back(route);
+    }
+  }
+}
+
 TSCE_HOT bool AllocationSession::try_commit(StringId k,
                                             const std::vector<MachineId>& assignment) {
   const std::uint64_t t0 = obs::clock_ticks();
   const auto ku = static_cast<std::size_t>(k);
-  const auto& s = model_->strings[ku];
   assert(!alloc_.deployed(k));
-  assert(assignment.size() == s.size());
+  assert(assignment.size() == model_->strings[ku].size());
 
   // Record the tentative assignment.  Stale affected/journal entries from a
   // previous commit would poison a stage-one rollback, so clear them up front.
@@ -252,20 +240,7 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   // Resources touched by this string.
   touched_machines_.clear();
   touched_routes_.clear();
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const MachineId j = assignment[i];
-    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-        touched_machines_.end()) {
-      touched_machines_.push_back(j);
-    }
-    if (i + 1 < s.size() && assignment[i] != assignment[i + 1]) {
-      const auto route = std::make_pair(assignment[i], assignment[i + 1]);
-      if (std::find(touched_routes_.begin(), touched_routes_.end(), route) ==
-          touched_routes_.end()) {
-        touched_routes_.push_back(route);
-      }
-    }
-  }
+  note_touched(k, assignment);
 
   // Stage one on touched resources only (others are unchanged).
   bool ok = true;
@@ -280,7 +255,7 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   if (!ok) {
     SessionMetrics::get().reject_utilization.add(1);
   } else {
-    t_of_[ku] = priority_value(*model_, alloc_, k, rule_);
+    t_of_[ku] = priority_value(*model_, alloc_, k, rule_, path_start_);
     const ConstraintViolation violation = stage_two_after_add(k);
     ok = violation == ConstraintViolation::kNone;
     if (violation == ConstraintViolation::kThroughput) {
@@ -347,36 +322,37 @@ TSCE_HOT ConstraintViolation AllocationSession::stage_two_after_add(StringId k) 
     }
   };
   note(k);
-  const std::size_t n = sk.size();
-  for (std::size_t p = 0; p < n; ++p) {
-    const auto& ap = sk.apps[p];
-    const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(p));
-    for (const AppRef& ref : util_.apps_on(j)) {
-      if (ref.k == k) continue;
-      const auto zu = static_cast<std::size_t>(ref.k);
-      if (!higher_priority(t_k, k, t_of_[zu], ref.k)) continue;
-      note(ref.k);
-      const std::uint32_t slot = app_off_[zu] + ref.i;
-      comp_journal_.emplace_back(slot, comp_[slot]);
-      comp_[slot] += (model_->strings[zu].period_s / sk.period_s) *
-                     ap.cpu_work(static_cast<std::size_t>(j));
-    }
-    if (p + 1 < n) {
-      const MachineId j2 = alloc_.machine_of(k, static_cast<AppIndex>(p + 1));
-      if (j == j2) continue;
-      const double w = model_->network.bandwidth_mbps(j, j2);
-      const double mbits = model::kbytes_to_megabits(ap.output_kbytes);
-      for (const AppRef& ref : util_.transfers_on(j, j2)) {
-        if (ref.k == k) continue;
-        const auto zu = static_cast<std::size_t>(ref.k);
-        if (!higher_priority(t_k, k, t_of_[zu], ref.k)) continue;
-        note(ref.k);
-        const std::uint32_t slot = tran_off_[zu] + ref.i;
-        tran_journal_.emplace_back(slot, tran_[slot]);
-        tran_[slot] += (model_->strings[zu].period_s / sk.period_s) * mbits / w;
-      }
-    }
-  }
+  model::sweep(
+      sk,
+      [&](std::size_t p) {
+        const MachineId j = alloc_.machine_of(k, static_cast<AppIndex>(p));
+        for (const AppRef& ref : util_.apps_on(j)) {
+          if (ref.k == k) continue;
+          const auto zu = static_cast<std::size_t>(ref.k);
+          if (!higher_priority(t_k, k, t_of_[zu], ref.k)) continue;
+          note(ref.k);
+          const std::uint32_t slot = app_off_[zu] + static_cast<std::uint32_t>(ref.i);
+          comp_journal_.emplace_back(slot, comp_[slot]);
+          comp_[slot] += (model_->strings[zu].period_s / sk.period_s) *
+                         sk.apps[p].cpu_work(static_cast<std::size_t>(j));
+        }
+      },
+      [&](std::size_t e) {
+        const MachineId j1 = alloc_.machine_of(k, sk.edges[e].from);
+        const MachineId j2 = alloc_.machine_of(k, sk.edges[e].to);
+        if (j1 == j2) return;
+        const double w = model_->network.bandwidth_mbps(j1, j2);
+        const double mbits = model::kbytes_to_megabits(sk.edges[e].kbytes);
+        for (const AppRef& ref : util_.transfers_on(j1, j2)) {
+          if (ref.k == k) continue;
+          const auto zu = static_cast<std::size_t>(ref.k);
+          if (!higher_priority(t_k, k, t_of_[zu], ref.k)) continue;
+          note(ref.k);
+          const std::uint32_t slot = tran_off_[zu] + static_cast<std::uint32_t>(ref.i);
+          tran_journal_.emplace_back(slot, tran_[slot]);
+          tran_[slot] += (model_->strings[zu].period_s / sk.period_s) * mbits / w;
+        }
+      });
 
   refresh_estimates_of(k);
   for (const StringId z : affected_strings_) {
@@ -392,31 +368,38 @@ TSCE_HOT void AllocationSession::refresh_estimates_of(StringId z) {
   // The flat slices are fixed-size (prefix-sum layout), so this writes in
   // place — no resize, no allocation.
   const auto zu = static_cast<std::size_t>(z);
-  const std::size_t n = model_->strings[zu].size();
+  const auto& s = model_->strings[zu];
   double* const comp = comp_.data() + app_off_[zu];
   double* const tran = tran_.data() + tran_off_[zu];
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < s.size(); ++i) {
     comp[i] = estimate_comp_time(*model_, alloc_, util_, t_of_, z,
                                  static_cast<AppIndex>(i));
-    if (i + 1 < n) {
-      tran[i] = estimate_tran_time(*model_, alloc_, util_, t_of_, z,
-                                   static_cast<AppIndex>(i));
-    }
+  }
+  for (std::size_t e = 0; e < s.edges.size(); ++e) {
+    tran[e] = estimate_tran_time(*model_, alloc_, util_, t_of_, z,
+                                 static_cast<AppIndex>(e));
   }
 }
 
 TSCE_HOT ConstraintViolation AllocationSession::constraint_violation(
     StringId z) const noexcept {
   const auto& s = model_->strings[static_cast<std::size_t>(z)];
-  double latency = 0.0;
+  // The sum over the whole string folds the critical path's terms in the
+  // same order plus nonnegative extras, so (rounding being monotone) it
+  // bounds the critical-path latency from above: only a string whose sum
+  // fails needs the path itself.  On a chain the two are the same number.
+  double total = 0.0;
   for (const double c : comp_estimates(z)) {
     if (!within(c, s.period_s)) return ConstraintViolation::kThroughput;
-    latency += c;
+    total += c;
   }
   for (const double t : tran_estimates(z)) {
     if (!within(t, s.period_s)) return ConstraintViolation::kThroughput;
-    latency += t;
+    total += t;
   }
+  if (within(total, s.max_latency_s)) return ConstraintViolation::kNone;
+  const double latency = critical_path_latency(s, comp_estimates(z), tran_estimates(z),
+                                               path_start_, path_pred_);
   return within(latency, s.max_latency_s) ? ConstraintViolation::kNone
                                           : ConstraintViolation::kLatency;
 }

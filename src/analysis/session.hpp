@@ -13,12 +13,12 @@
 ///
 /// Estimate storage is SoA (DESIGN.md §12): one flat double array for all
 /// eq. (5) computation estimates and one for all eq. (6) transfer estimates,
-/// indexed by prefix sums over string lengths — no per-string vectors, so the
-/// steady-state commit/rollback path never allocates.  The whole session
-/// state snapshots into a SessionSnapshot and restores back with a handful of
-/// memcpys, bit-exactly; the prefix-reuse decode rewinds through this instead
-/// of replaying removals, and replica-based engines clone sessions the same
-/// way.
+/// indexed by prefix sums over string app and edge counts — no per-string
+/// vectors, so the steady-state commit/rollback path never allocates.  The
+/// whole session state snapshots into a SessionSnapshot and restores back
+/// with a handful of memcpys, bit-exactly; the prefix-reuse decode rewinds
+/// through this instead of replaying removals, and replica-based engines
+/// clone sessions the same way.
 
 #pragma once
 
@@ -124,6 +124,9 @@ class AllocationSession {
   /// string; returns the first violation found (kNone when all pass).
   [[nodiscard]] ConstraintViolation stage_two_after_add(model::StringId k);
   void refresh_estimates_of(model::StringId k);
+  /// Appends the machines and inter-machine routes of string k under
+  /// \p assignment to the touched-resource scratch (deduplicated).
+  void note_touched(model::StringId k, std::span<const model::MachineId> assignment);
   /// Shim over constraint_violation for boolean call sites.
   [[nodiscard]] bool string_meets_constraints(model::StringId k) const noexcept {
     return constraint_violation(k) == ConstraintViolation::kNone;
@@ -135,7 +138,7 @@ class AllocationSession {
   UtilizationState util_;
   std::vector<double> t_of_;            ///< tightness per deployed string (NaN otherwise)
   std::vector<std::uint32_t> app_off_;  ///< prefix sums of string lengths, size Q+1
-  std::vector<std::uint32_t> tran_off_; ///< prefix sums of (length - 1), size Q+1
+  std::vector<std::uint32_t> tran_off_; ///< prefix sums of edge counts, size Q+1
   std::vector<double> comp_;            ///< flat eq. (5) estimates, app_off_-indexed
   std::vector<double> tran_;            ///< flat eq. (6) estimates, tran_off_-indexed
   // Scratch reused across commits to avoid churn.
@@ -146,6 +149,10 @@ class AllocationSession {
   /// rejected commit restores them bit-exactly (float subtraction would not).
   std::vector<std::pair<std::uint32_t, double>> comp_journal_;
   std::vector<std::pair<std::uint32_t, double>> tran_journal_;
+  /// Longest-path scratch (tightness and critical-path latency), sized to the
+  /// longest string; mutable because constraint_violation is a const query.
+  mutable std::vector<double> path_start_;
+  mutable std::vector<model::AppIndex> path_pred_;
 };
 
 }  // namespace tsce::analysis

@@ -9,22 +9,33 @@
 
 #pragma once
 
+#include <span>
+
 #include "model/allocation.hpp"
 #include "model/system_model.hpp"
 #include "model/types.hpp"
 
 namespace tsce::analysis {
 
-/// Exact relative tightness of a fully mapped string k: total no-sharing
-/// processing + transfer time on the assigned resources divided by Lmax[k].
+/// Exact relative tightness of a fully mapped string k: the no-sharing
+/// processing + transfer time of its critical path on the assigned resources
+/// divided by Lmax[k].  On a chain the critical path is the whole string,
+/// folded c0 + t0 + c1 + ... as eq. (4) always was.
 [[nodiscard]] double relative_tightness(const model::SystemModel& model,
                                         const model::Allocation& alloc,
-                                        model::StringId k) noexcept;
+                                        model::StringId k);
+/// Allocation-free variant for hot loops: \p start is longest-path scratch
+/// of at least n_k entries.
+[[nodiscard]] double relative_tightness(const model::SystemModel& model,
+                                        const model::Allocation& alloc,
+                                        model::StringId k,
+                                        std::span<double> start) noexcept;
 
-/// Allocation-free approximation: per-app average nominal execution time
-/// (eq. 8) and average inverse bandwidth replace the assigned-resource terms.
+/// Mapping-free approximation: per-app average nominal execution time
+/// (eq. 8) and average inverse bandwidth replace the assigned-resource terms
+/// along the critical path.
 [[nodiscard]] double approx_tightness(const model::SystemModel& model,
-                                      model::StringId k) noexcept;
+                                      model::StringId k);
 
 /// Strict priority order between deployed strings z and k given their
 /// tightness values: higher T wins; exact ties broken by lower string id.

@@ -19,13 +19,47 @@ UtilizationState::UtilizationState(const SystemModel& model) : model_(&model) {
   // the arena for the header plus one pool entry per application keeps slab
   // growth off the common path without reserving for the worst case.
   std::size_t apps = 0;
-  for (const auto& s : model.strings) apps += s.size();
+  std::size_t edges = 0;
+  for (const auto& s : model.strings) {
+    apps += s.size();
+    edges += s.edges.size();
+  }
   arena_ = util::Arena((m + m * m + apps) * sizeof(double));
   machine_util_ = arena_.alloc<double>(m);
   route_util_ = arena_.alloc<double>(m * m);
   slabs_ = arena_.alloc<Slab>(m + m * m);
   touched_machines_.reserve(m);
   touched_routes_.reserve(m * m);
+
+  // Incidence lists by counting sort; edges are visited in index order, so
+  // each app's list is increasing.  incident_off_[a + 1] first counts app a's
+  // edges; after the prefix sum incident_off_[a] is app a's start and serves
+  // as its fill cursor, ending at its end, so one shift restores the offsets.
+  app_base_.reserve(model.num_strings());
+  incident_off_.assign(apps + 1, 0);
+  std::uint32_t base = 0;
+  for (const auto& s : model.strings) {
+    app_base_.push_back(base);
+    for (const model::Edge& e : s.edges) {
+      ++incident_off_[base + static_cast<std::uint32_t>(e.from) + 1];
+      ++incident_off_[base + static_cast<std::uint32_t>(e.to) + 1];
+    }
+    base += static_cast<std::uint32_t>(s.size());
+  }
+  for (std::size_t a = 1; a < apps; ++a) incident_off_[a + 1] += incident_off_[a];
+  incident_.resize(2 * edges);
+  for (std::size_t k = 0; k < model.num_strings(); ++k) {
+    const auto& s = model.strings[k];
+    for (std::size_t e = 0; e < s.edges.size(); ++e) {
+      for (const AppIndex i : {s.edges[e].from, s.edges[e].to}) {
+        incident_[incident_off_[app_base_[k] + static_cast<std::uint32_t>(i)]++] =
+            static_cast<AppIndex>(e);
+      }
+    }
+  }
+  std::move_backward(incident_off_.begin(), incident_off_.end() - 1,
+                     incident_off_.end());
+  incident_off_[0] = 0;
 }
 
 UtilizationState UtilizationState::from_allocation(const SystemModel& model,
@@ -48,25 +82,6 @@ UtilizationState UtilizationState::from_allocation(
     state.add_string(alloc, k);
   }
   return state;
-}
-
-double UtilizationState::machine_delta(StringId k, AppIndex i,
-                                       MachineId j) const noexcept {
-  const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto& a = s.apps[static_cast<std::size_t>(i)];
-  // (t[i,j] * u[i,j]) / P[k]: the minimum average CPU share that lets a_i^k
-  // finish each data set within one period.
-  return a.cpu_work(static_cast<std::size_t>(j)) / s.period_s;
-}
-
-double UtilizationState::route_delta(StringId k, AppIndex i, MachineId j1,
-                                     MachineId j2) const noexcept {
-  if (j1 == j2) return 0.0;  // intra-machine: infinite bandwidth
-  const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto& a = s.apps[static_cast<std::size_t>(i)];
-  // (O[i]/P[k]) / w[j1,j2]: minimum average bandwidth share over the period.
-  const double mbps_needed = model::kbytes_to_megabits(a.output_kbytes) / s.period_s;
-  return mbps_needed / model_->network.bandwidth_mbps(j1, j2);
 }
 
 TSCE_HOT void UtilizationState::slab_push(std::size_t resource, AppRef ref) {
@@ -98,22 +113,25 @@ TSCE_HOT void UtilizationState::slab_erase(std::size_t resource, AppRef ref) {
 
 TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) {
   const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto n = static_cast<AppIndex>(s.size());
-  for (AppIndex i = 0; i < n; ++i) {
-    const MachineId j = alloc.machine_of(k, i);
-    assert(j != model::kUnassigned);
-    arena_.view(machine_util_)[static_cast<std::size_t>(j)] +=
-        machine_delta(k, i, j);
-    slab_push(static_cast<std::size_t>(j), {k, i});
-    if (i + 1 < n) {
-      const MachineId j2 = alloc.machine_of(k, i + 1);
-      if (j != j2) {
-        const std::size_t r = route_index(j, j2);
-        arena_.view(route_util_)[r] += route_delta(k, i, j, j2);
-        slab_push(num_machines() + r, {k, i});
-      }
-    }
-  }
+  model::sweep(
+      s,
+      [&](std::size_t iu) {
+        const auto i = static_cast<AppIndex>(iu);
+        const MachineId j = alloc.machine_of(k, i);
+        assert(j != model::kUnassigned);
+        arena_.view(machine_util_)[static_cast<std::size_t>(j)] +=
+            machine_delta(k, i, j);
+        slab_push(static_cast<std::size_t>(j), {k, i});
+      },
+      [&](std::size_t eu) {
+        const auto e = static_cast<AppIndex>(eu);
+        const MachineId j1 = alloc.machine_of(k, s.edges[eu].from);
+        const MachineId j2 = alloc.machine_of(k, s.edges[eu].to);
+        if (j1 == j2) return;
+        const std::size_t r = route_index(j1, j2);
+        arena_.view(route_util_)[r] += route_delta(k, e, j1, j2);
+        slab_push(num_machines() + r, {k, e});
+      });
 }
 
 TSCE_HOT void UtilizationState::remove_string(const Allocation& alloc, StringId k) {
@@ -142,27 +160,29 @@ TSCE_HOT void UtilizationState::remove_strings(const Allocation& alloc,
 
 TSCE_HOT void UtilizationState::erase_string(const Allocation& alloc, StringId k) {
   const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  const auto n = static_cast<AppIndex>(s.size());
-  for (AppIndex i = 0; i < n; ++i) {
-    const MachineId j = alloc.machine_of(k, i);
-    assert(j != model::kUnassigned);
-    slab_erase(static_cast<std::size_t>(j), {k, i});
-    if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-        touched_machines_.end()) {
-      touched_machines_.push_back(j);
-    }
-    if (i + 1 < n) {
-      const MachineId j2 = alloc.machine_of(k, i + 1);
-      if (j != j2) {
-        const std::size_t r = route_index(j, j2);
-        slab_erase(num_machines() + r, {k, i});
+  model::sweep(
+      s,
+      [&](std::size_t iu) {
+        const auto i = static_cast<AppIndex>(iu);
+        const MachineId j = alloc.machine_of(k, i);
+        assert(j != model::kUnassigned);
+        slab_erase(static_cast<std::size_t>(j), {k, i});
+        if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
+            touched_machines_.end()) {
+          touched_machines_.push_back(j);
+        }
+      },
+      [&](std::size_t eu) {
+        const MachineId j1 = alloc.machine_of(k, s.edges[eu].from);
+        const MachineId j2 = alloc.machine_of(k, s.edges[eu].to);
+        if (j1 == j2) return;
+        const std::size_t r = route_index(j1, j2);
+        slab_erase(num_machines() + r, {k, static_cast<AppIndex>(eu)});
         if (std::find(touched_routes_.begin(), touched_routes_.end(), r) ==
             touched_routes_.end()) {
           touched_routes_.push_back(r);
         }
-      }
-    }
-  }
+      });
 }
 
 TSCE_HOT void UtilizationState::resum_touched() {

@@ -29,7 +29,8 @@
 
 namespace tsce::analysis {
 
-/// Reference to application i of string k.
+/// Reference to application i of string k — or, in a route's resident list,
+/// to edge i of string k.
 struct AppRef {
   model::StringId k;
   model::AppIndex i;
@@ -56,8 +57,8 @@ class UtilizationState {
       const model::SystemModel& model, const model::Allocation& alloc,
       std::span<const model::StringId> deploy_order);
 
-  /// Adds every application/transfer of string k using its assignment in
-  /// \p alloc (string must be fully mapped).
+  /// Adds every application and every inter-machine edge of string k using
+  /// its assignment in \p alloc (string must be fully mapped).
   void add_string(const model::Allocation& alloc, model::StringId k);
   /// Exact inverse of add_string: after the call, every utilization is
   /// bit-identical to a state that never added string k (touched resources
@@ -82,24 +83,39 @@ class UtilizationState {
     return arena_.view(route_util_)[route_index(j1, j2)];
   }
 
-  /// Utilization contribution of app i of string k when placed on machine j.
+  /// Utilization contribution of app i of string k when placed on machine j:
+  /// (t[i,j] * u[i,j]) / P[k], the minimum average CPU share that lets a_i^k
+  /// finish each data set within one period.
   [[nodiscard]] double machine_delta(model::StringId k, model::AppIndex i,
-                                     model::MachineId j) const noexcept;
-  /// Utilization contribution of the output transfer of app i of string k on
-  /// route j1->j2 (0 when j1 == j2).
-  [[nodiscard]] double route_delta(model::StringId k, model::AppIndex i,
-                                   model::MachineId j1, model::MachineId j2) const noexcept;
+                                     model::MachineId j) const noexcept {
+    const auto& s = model_->strings[static_cast<std::size_t>(k)];
+    const auto& a = s.apps[static_cast<std::size_t>(i)];
+    return a.cpu_work(static_cast<std::size_t>(j)) / s.period_s;
+  }
+  /// Utilization contribution of edge e of string k on route j1->j2 (0 when
+  /// j1 == j2, intra-machine bandwidth being infinite): (O[e]/P[k]) /
+  /// w[j1,j2], the minimum average bandwidth share over the period.
+  [[nodiscard]] double route_delta(model::StringId k, model::AppIndex e,
+                                   model::MachineId j1,
+                                   model::MachineId j2) const noexcept {
+    if (j1 == j2) return 0.0;
+    const auto& s = model_->strings[static_cast<std::size_t>(k)];
+    const double kbytes = s.edges[static_cast<std::size_t>(e)].kbytes;
+    const double mbps_needed = model::kbytes_to_megabits(kbytes) / s.period_s;
+    return mbps_needed / model_->network.bandwidth_mbps(j1, j2);
+  }
 
   /// What-if U_machine[j, i, k] from the IMR description (paper §5).
   [[nodiscard]] double machine_util_if(model::MachineId j, model::StringId k,
                                        model::AppIndex i) const noexcept {
     return machine_util(j) + machine_delta(k, i, j);
   }
-  /// What-if U_route[j1, j2, i, k]: utilization of route j1->j2 if the output
-  /// of app i of string k were added to it.
+  /// What-if U_route[j1, j2, e, k]: utilization of route j1->j2 if edge e of
+  /// string k were added to it.
   [[nodiscard]] double route_util_if(model::MachineId j1, model::MachineId j2,
-                                     model::StringId k, model::AppIndex i) const noexcept {
-    return route_util(j1, j2) + route_delta(k, i, j1, j2);
+                                     model::StringId k,
+                                     model::AppIndex e) const noexcept {
+    return route_util(j1, j2) + route_delta(k, e, j1, j2);
   }
 
   /// Max utilization over all machines (0 when empty system).
@@ -115,13 +131,24 @@ class UtilizationState {
   [[nodiscard]] std::span<const AppRef> apps_on(model::MachineId j) const noexcept {
     return slab_span(static_cast<std::size_t>(j));
   }
-  /// Transfers resident on route j1->j2; AppRef names the *sending* app.
+  /// Transfers resident on route j1->j2; AppRef names the edge.
   [[nodiscard]] std::span<const AppRef> transfers_on(model::MachineId j1,
                                                      model::MachineId j2) const noexcept {
     return slab_span(num_machines() + route_index(j1, j2));
   }
 
   [[nodiscard]] std::size_t num_machines() const noexcept { return machine_util_.count; }
+
+  /// Edges touching app i of string k (either endpoint), in increasing edge
+  /// index: the string's undirected adjacency, derived once per model so the
+  /// IMR walks a DAG without rebuilding it per call.
+  [[nodiscard]] std::span<const model::AppIndex> incident_edges(
+      model::StringId k, model::AppIndex i) const noexcept {
+    const std::size_t a =
+        app_base_[static_cast<std::size_t>(k)] + static_cast<std::size_t>(i);
+    return {incident_.data() + incident_off_[a],
+            incident_off_[a + 1] - incident_off_[a]};
+  }
 
   /// Snapshot protocol: the state is one arena block, so a snapshot is one
   /// memcpy of the used prefix and restore is the inverse memcpy — bit-exact,
@@ -171,6 +198,10 @@ class UtilizationState {
   util::ArenaSpan<double> machine_util_;
   util::ArenaSpan<double> route_util_;  // M x M row-major; diagonal stays 0
   util::ArenaSpan<Slab> slabs_;         // M machine slabs, then M*M route slabs
+  // Immutable CSR adjacency (outside the arena: snapshots never copy it).
+  std::vector<std::uint32_t> app_base_;     ///< first global app index per string
+  std::vector<std::uint32_t> incident_off_; ///< per global app, size apps + 1
+  std::vector<model::AppIndex> incident_;   ///< edge indices, two per edge
   // Scratch for remove_string (resources whose sums need recomputation).
   std::vector<model::MachineId> touched_machines_;
   std::vector<std::size_t> touched_routes_;

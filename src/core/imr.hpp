@@ -6,11 +6,14 @@
 /// The routine seeds at the most computationally intensive application
 /// (argmax of t_av * u_av / P), places it on the machine with minimal
 /// resulting utilization, then repeatedly locates the next most intensive
-/// unassigned application and marches the contiguous assigned range toward
-/// it; every intermediate application is placed on the machine minimizing the
-/// max of the affected machine utilization and the utilization of the route
-/// connecting it to its already-placed neighbor.  Ties are broken by lowest
-/// machine index so the routine is deterministic.
+/// unassigned application (the target) and grows the placed set toward it:
+/// one at a time, the frontier application (unplaced, with a placed
+/// neighbour) nearest the target — undirected hop distance, ties to the
+/// lowest index — is placed on the machine minimizing the max of its machine
+/// utilization and the utilization of every route to an already-placed
+/// neighbour.  Machine ties go to the lowest index, so the routine is
+/// deterministic.  On a chain the placed set is a contiguous range and this
+/// is the paper's walk of the range toward the target.
 
 #pragma once
 
@@ -34,7 +37,10 @@ namespace tsce::core {
 struct ImrScratch {
   std::vector<double> machine_extra;
   std::vector<double> route_extra;
-  std::vector<char> in_d;
+  std::vector<model::AppIndex> distance;      ///< hops to the current target
+  std::vector<model::AppIndex> queue;         ///< breadth-first search queue
+  std::vector<double> score;                  ///< per machine, app being placed
+  std::vector<double> intensity;              ///< per app of the string
 };
 
 /// Maps string \p k against the resource usage in \p util (which reflects all

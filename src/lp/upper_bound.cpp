@@ -19,8 +19,7 @@ class UbIndexer {
       x_base_.push_back(next);
       next += static_cast<std::int32_t>(s.size() * m_);
       y_base_.push_back(next);
-      const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-      next += static_cast<std::int32_t>(edges * m_ * m_);
+      next += static_cast<std::int32_t>(s.edges.size() * m_ * m_);
     }
     total_ = next;
   }
@@ -28,9 +27,9 @@ class UbIndexer {
   [[nodiscard]] std::int32_t x(std::size_t k, std::size_t i, std::size_t j) const noexcept {
     return x_base_[k] + static_cast<std::int32_t>(i * m_ + j);
   }
-  [[nodiscard]] std::int32_t y(std::size_t k, std::size_t i, std::size_t j1,
+  [[nodiscard]] std::int32_t y(std::size_t k, std::size_t e, std::size_t j1,
                                std::size_t j2) const noexcept {
-    return y_base_[k] + static_cast<std::int32_t>(i * m_ * m_ + j1 * m_ + j2);
+    return y_base_[k] + static_cast<std::int32_t>(e * m_ * m_ + j1 * m_ + j2);
   }
   [[nodiscard]] std::int32_t count() const noexcept { return total_; }
 
@@ -46,7 +45,7 @@ class UbIndexer {
 std::size_t upper_bound_route_rows(const SystemModel& model) {
   const std::size_t m = model.num_machines();
   for (const auto& s : model.strings) {
-    if (s.size() > 1) return m * (m - 1);
+    if (!s.edges.empty()) return m * (m - 1);
   }
   return 0;
 }
@@ -81,12 +80,11 @@ void build_upper_bound_lp_into(LpProblem& problem, const SystemModel& model,
         (void)v;
       }
     }
-    const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-    for (std::size_t i = 0; i < edges; ++i) {
+    for (std::size_t e = 0; e < s.edges.size(); ++e) {
       for (std::size_t j1 = 0; j1 < m; ++j1) {
         for (std::size_t j2 = 0; j2 < m; ++j2) {
           const std::int32_t v = problem.add_variable(0.0, 1.0, 0.0);
-          assert(v == idx.y(k, i, j1, j2));
+          assert(v == idx.y(k, e, j1, j2));
           (void)v;
         }
       }
@@ -117,27 +115,29 @@ void build_upper_bound_lp_into(LpProblem& problem, const SystemModel& model,
     }
   }
 
-  // (d) an application fraction on j1 emits the same fraction of its output:
-  //     sum_{j2} y[i,k,j1,j2] = x[i,k,j1].
-  // (e) and its successor's fraction on j2 receives it:
-  //     sum_{j1} y[i,k,j1,j2] = x[i+1,k,j2].
+  // Per edge e = (a -> b):
+  // (d) the sender's fraction on j1 emits the same fraction of the edge's
+  //     output: sum_{j2} y[e,k,j1,j2] = x[a,k,j1].
+  // (e) and the receiver's fraction on j2 receives it:
+  //     sum_{j1} y[e,k,j1,j2] = x[b,k,j2].
   for (std::size_t k = 0; k < q; ++k) {
     const auto& s = model.strings[k];
-    const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-    for (std::size_t i = 0; i < edges; ++i) {
+    for (std::size_t e = 0; e < s.edges.size(); ++e) {
+      const auto from = static_cast<std::size_t>(s.edges[e].from);
+      const auto to = static_cast<std::size_t>(s.edges[e].to);
       for (std::size_t j1 = 0; j1 < m; ++j1) {
         const std::int32_t row = problem.add_row(Relation::kEqual, 0.0);
         for (std::size_t j2 = 0; j2 < m; ++j2) {
-          problem.add_coefficient(row, idx.y(k, i, j1, j2), 1.0);
+          problem.add_coefficient(row, idx.y(k, e, j1, j2), 1.0);
         }
-        problem.add_coefficient(row, idx.x(k, i, j1), -1.0);
+        problem.add_coefficient(row, idx.x(k, from, j1), -1.0);
       }
       for (std::size_t j2 = 0; j2 < m; ++j2) {
         const std::int32_t row = problem.add_row(Relation::kEqual, 0.0);
         for (std::size_t j1 = 0; j1 < m; ++j1) {
-          problem.add_coefficient(row, idx.y(k, i, j1, j2), 1.0);
+          problem.add_coefficient(row, idx.y(k, e, j1, j2), 1.0);
         }
-        problem.add_coefficient(row, idx.x(k, i + 1, j2), -1.0);
+        problem.add_coefficient(row, idx.x(k, to, j2), -1.0);
       }
     }
   }
@@ -170,11 +170,10 @@ void build_upper_bound_lp_into(LpProblem& problem, const SystemModel& model,
                                                       static_cast<model::MachineId>(j2));
         for (std::size_t k = 0; k < q; ++k) {
           const auto& s = model.strings[k];
-          const std::size_t edges = s.size() > 0 ? s.size() - 1 : 0;
-          for (std::size_t i = 0; i < edges; ++i) {
+          for (std::size_t e = 0; e < s.edges.size(); ++e) {
             const double coeff =
-                model::kbytes_to_megabits(s.apps[i].output_kbytes) / s.period_s / w;
-            problem.add_coefficient(row, idx.y(k, i, j1, j2), coeff);
+                model::kbytes_to_megabits(s.edges[e].kbytes) / s.period_s / w;
+            problem.add_coefficient(row, idx.y(k, e, j1, j2), coeff);
           }
         }
         if (complete) problem.add_coefficient(row, lambda, 1.0);

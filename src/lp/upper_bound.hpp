@@ -1,9 +1,9 @@
 /// \file upper_bound.hpp
 /// Mathematical performance upper bound via fractional mappings (paper §7).
 ///
-/// Applications may be split into per-machine fractions x[i,k,j]; output
-/// transfers split into per-route fractions y[i,k,j1,j2].  Flow-conservation
-/// constraints tie consecutive applications together and the stage-one
+/// Applications may be split into per-machine fractions x[i,k,j]; each edge's
+/// transfer splits into per-route fractions y[e,k,j1,j2].  Flow-conservation
+/// constraints tie the two ends of every edge together and the stage-one
 /// capacity constraints bound every machine and route.  The resulting LP's
 /// optimum dominates the best integral allocation, so it upper-bounds every
 /// heuristic:
@@ -82,7 +82,7 @@ void build_upper_bound_lp_into(LpProblem& problem, const model::SystemModel& mod
                                bool complete, UbObjective objective);
 
 /// Number of (g) route-capacity rows build_upper_bound_lp emits for
-/// \p model: M(M-1) when any string has at least two applications, else 0.
+/// \p model: M(M-1) when any string has an edge, else 0.
 [[nodiscard]] std::size_t upper_bound_route_rows(const model::SystemModel& model);
 
 /// Upper bound on total worth for partial resource allocation (scenarios 1-2).

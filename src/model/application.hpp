@@ -20,10 +20,6 @@ struct Application {
   std::vector<double> nominal_time_s;
   /// u[i,j] for every machine j, each in (0, 1].
   std::vector<double> nominal_util;
-  /// Output size O[i] in Kbytes sent to the successor application;
-  /// 0 for the final application of a string (its output goes to actuators,
-  /// which the model treats as free).
-  double output_kbytes = 0.0;
   /// Optional human-readable label (used by examples and traces).
   std::string name;
 

@@ -1,5 +1,6 @@
 #include "model/serialization.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace tsce::model {
@@ -22,6 +23,42 @@ void check_format(const Json& json, const char* expected) {
   }
 }
 
+/// Object member \p key; a missing key is a schema error (Json::at would
+/// throw std::out_of_range, which callers of the loaders do not expect).
+const Json& field(const Json& object, const char* key) {
+  if (!object.is_object() || !object.contains(key)) {
+    schema_error(std::string("missing key '") + key + "'");
+  }
+  return object.at(key);
+}
+
+double number(const Json& json, const char* what) {
+  if (!json.is_number()) schema_error(std::string(what) + " must be a number");
+  return json.as_number();
+}
+
+/// An integral JSON number in [lo, hi], checked before any cast so that
+/// fractional, huge or non-finite values cannot reach an integer conversion.
+long long integer(const Json& json, const char* what, long long lo, long long hi) {
+  const double x = number(json, what);
+  if (!std::isfinite(x) || x != std::trunc(x) || x < static_cast<double>(lo) ||
+      x > static_cast<double>(hi)) {
+    schema_error(std::string(what) + " must be an integer in [" + std::to_string(lo) +
+                 ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<long long>(x);
+}
+
+const Json::Array& array(const Json& json, const char* what) {
+  if (!json.is_array()) schema_error(std::string(what) + " must be an array");
+  return json.as_array();
+}
+
+const std::string& string(const Json& json, const char* what) {
+  if (!json.is_string()) schema_error(std::string(what) + " must be a string");
+  return json.as_string();
+}
+
 Json vector_to_json(const std::vector<double>& xs) {
   Json array = Json::array();
   for (const double x : xs) array.push_back(Json(x));
@@ -29,18 +66,14 @@ Json vector_to_json(const std::vector<double>& xs) {
 }
 
 std::vector<double> vector_from_json(const Json& json, const char* what) {
-  if (!json.is_array()) schema_error(std::string(what) + " must be an array");
   std::vector<double> xs;
-  xs.reserve(json.as_array().size());
-  for (const Json& item : json.as_array()) {
-    if (!item.is_number()) schema_error(std::string(what) + " must hold numbers");
-    xs.push_back(item.as_number());
-  }
+  xs.reserve(array(json, what).size());
+  for (const Json& item : json.as_array()) xs.push_back(number(item, what));
   return xs;
 }
 
-Worth worth_from_int(int value) {
-  switch (value) {
+Worth worth_from_json(const Json& json) {
+  switch (integer(json, "worth", 1, 100)) {
     case 1: return Worth::kLow;
     case 10: return Worth::kMedium;
     case 100: return Worth::kHigh;
@@ -75,19 +108,25 @@ Json to_json(const SystemModel& model) {
   root.set("bandwidth_mbps", std::move(bandwidth));
 
   Json strings = Json::array();
-  for (const auto& s : model.strings) {
+  for (std::size_t k = 0; k < model.strings.size(); ++k) {
+    const AppString& s = model.strings[k];
+    if (!s.is_path()) {
+      throw std::invalid_argument("to_json: string " + std::to_string(k) +
+                                  " is not a chain; tsce-model-v1 stores chains only");
+    }
     Json js = Json::object();
     if (!s.name.empty()) js.set("name", Json(s.name));
     js.set("period_s", Json(s.period_s));
     js.set("max_latency_s", Json(s.max_latency_s));
     js.set("worth", Json(s.worth_factor()));
     Json apps = Json::array();
-    for (const auto& a : s.apps) {
+    for (std::size_t i = 0; i < s.apps.size(); ++i) {
+      const Application& a = s.apps[i];
       Json ja = Json::object();
       if (!a.name.empty()) ja.set("name", Json(a.name));
       ja.set("time_s", vector_to_json(a.nominal_time_s));
       ja.set("util", vector_to_json(a.nominal_util));
-      ja.set("output_kbytes", Json(a.output_kbytes));
+      ja.set("output_kbytes", Json(i < s.edges.size() ? s.edges[i].kbytes : 0.0));
       apps.push_back(std::move(ja));
     }
     js.set("apps", std::move(apps));
@@ -101,55 +140,62 @@ SystemModel system_model_from_json(const Json& json) {
   check_format(json, kModelFormat);
   SystemModel model;
 
-  const Json& machines = json.at("machines");
+  // The bandwidth matrix must be M x M, so its row count bounds any machine
+  // count before Network(M) allocates M^2 cells.
+  const Json::Array& bandwidth = array(field(json, "bandwidth_mbps"), "bandwidth_mbps");
+  const Json& machines = field(json, "machines");
   std::size_t machine_count = 0;
   if (machines.is_number()) {
-    machine_count = static_cast<std::size_t>(machines.as_number());
+    machine_count = static_cast<std::size_t>(integer(
+        machines, "machines", 0, static_cast<long long>(bandwidth.size())));
   } else if (machines.is_array()) {
     machine_count = machines.as_array().size();
     for (const Json& name : machines.as_array()) {
-      if (!name.is_string()) schema_error("machine names must be strings");
-      model.machine_names.push_back(name.as_string());
+      model.machine_names.push_back(string(name, "machine name"));
     }
   } else {
     schema_error("machines must be a count or an array of names");
   }
-
-  model.network = Network(machine_count);
-  const Json& bandwidth = json.at("bandwidth_mbps");
-  if (!bandwidth.is_array() || bandwidth.as_array().size() != machine_count) {
+  if (bandwidth.size() != machine_count) {
     schema_error("bandwidth_mbps must be an MxM matrix");
   }
-  for (std::size_t j1 = 0; j1 < machine_count; ++j1) {
-    const Json& row = bandwidth.as_array()[j1];
+  for (const Json& row : bandwidth) {
     if (!row.is_array() || row.as_array().size() != machine_count) {
       schema_error("bandwidth_mbps must be an MxM matrix");
     }
+  }
+
+  model.network = Network(machine_count);
+  for (std::size_t j1 = 0; j1 < machine_count; ++j1) {
     for (std::size_t j2 = 0; j2 < machine_count; ++j2) {
-      const Json& cell = row.as_array()[j2];
+      const Json& cell = bandwidth[j1].as_array()[j2];
       model.network.set_bandwidth_mbps(
           static_cast<MachineId>(j1), static_cast<MachineId>(j2),
-          cell.is_null() ? kInfiniteBandwidth : cell.as_number());
+          cell.is_null() ? kInfiniteBandwidth : number(cell, "bandwidth_mbps"));
     }
   }
 
-  const Json& strings = json.at("strings");
-  if (!strings.is_array()) schema_error("strings must be an array");
-  for (const Json& js : strings.as_array()) {
+  // Strings are chains: app i's output_kbytes is the edge (i, i+1); the final
+  // app's output feeds actuators and carries no route.
+  for (const Json& js : array(field(json, "strings"), "strings")) {
     AppString s;
-    if (js.contains("name")) s.name = js.at("name").as_string();
-    s.period_s = js.at("period_s").as_number();
-    s.max_latency_s = js.at("max_latency_s").as_number();
-    s.worth = worth_from_int(static_cast<int>(js.at("worth").as_number()));
-    const Json& apps = js.at("apps");
-    if (!apps.is_array()) schema_error("apps must be an array");
-    for (const Json& ja : apps.as_array()) {
+    if (js.contains("name")) s.name = string(js.at("name"), "string name");
+    s.period_s = number(field(js, "period_s"), "period_s");
+    s.max_latency_s = number(field(js, "max_latency_s"), "max_latency_s");
+    s.worth = worth_from_json(field(js, "worth"));
+    std::vector<double> outputs;
+    for (const Json& ja : array(field(js, "apps"), "apps")) {
       Application a;
-      if (ja.contains("name")) a.name = ja.at("name").as_string();
-      a.nominal_time_s = vector_from_json(ja.at("time_s"), "time_s");
-      a.nominal_util = vector_from_json(ja.at("util"), "util");
-      a.output_kbytes = ja.at("output_kbytes").as_number();
+      if (ja.contains("name")) a.name = string(ja.at("name"), "app name");
+      a.nominal_time_s = vector_from_json(field(ja, "time_s"), "time_s");
+      a.nominal_util = vector_from_json(field(ja, "util"), "util");
+      outputs.push_back(number(field(ja, "output_kbytes"), "output_kbytes"));
+      if (!(outputs.back() >= 0.0)) schema_error("output_kbytes must be nonnegative");
       s.apps.push_back(std::move(a));
+    }
+    for (std::size_t i = 0; i + 1 < s.apps.size(); ++i) {
+      s.edges.push_back(
+          {static_cast<AppIndex>(i), static_cast<AppIndex>(i + 1), outputs[i]});
     }
     model.strings.push_back(std::move(s));
   }
@@ -183,8 +229,8 @@ Json to_json(const Allocation& alloc) {
 Allocation allocation_from_json(const Json& json, const SystemModel& model) {
   check_format(json, kAllocationFormat);
   Allocation alloc(model);
-  const Json& mapping = json.at("mapping");
-  const Json& deployed = json.at("deployed");
+  const Json& mapping = field(json, "mapping");
+  const Json& deployed = field(json, "deployed");
   if (!mapping.is_array() || mapping.as_array().size() != model.num_strings() ||
       !deployed.is_array() || deployed.as_array().size() != model.num_strings()) {
     schema_error("allocation shape does not match the model");
@@ -195,12 +241,9 @@ Allocation allocation_from_json(const Json& json, const SystemModel& model) {
       schema_error("mapping row " + std::to_string(k) + " has the wrong length");
     }
     for (std::size_t i = 0; i < row.as_array().size(); ++i) {
-      const Json& cell = row.as_array()[i];
-      if (!cell.is_number()) schema_error("mapping entries must be integers");
-      const int j = static_cast<int>(cell.as_number());
-      if (j < -1 || j >= static_cast<int>(model.num_machines())) {
-        schema_error("machine id " + std::to_string(j) + " out of range");
-      }
+      const long long j =
+          integer(row.as_array()[i], "machine id", kUnassigned,
+                  static_cast<long long>(model.num_machines()) - 1);
       alloc.assign(static_cast<StringId>(k), static_cast<AppIndex>(i),
                    static_cast<MachineId>(j));
     }

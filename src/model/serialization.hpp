@@ -17,6 +17,10 @@
 /// }
 /// ```
 ///
+/// Strings are chains: app i's "output_kbytes" is the edge (i, i+1) and the
+/// final app's value is ignored.  There is no DAG file format; to_json of a
+/// string that is not a path throws std::invalid_argument.
+///
 /// Allocations serialize as `{"format": "tsce-allocation-v1",
 /// "mapping": [[0, 2], ...], "deployed": [true, ...]}` with -1 for
 /// unassigned applications.
@@ -32,8 +36,10 @@
 namespace tsce::model {
 
 [[nodiscard]] util::Json to_json(const SystemModel& model);
-/// Throws std::runtime_error on schema violations; the returned model always
-/// passes SystemModel::validate().
+/// Throws std::runtime_error on any schema violation — a missing key, a wrong
+/// type, or a count, worth or machine id that is not an integer in range —
+/// and never casts an unchecked number; the returned model always passes
+/// SystemModel::validate().
 [[nodiscard]] SystemModel system_model_from_json(const util::Json& json);
 
 [[nodiscard]] util::Json to_json(const Allocation& alloc);

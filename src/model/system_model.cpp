@@ -1,6 +1,7 @@
 #include "model/system_model.hpp"
 
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 namespace tsce::model {
@@ -23,6 +24,55 @@ void check(std::vector<std::string>& problems, bool ok, const char* fmt, auto...
   char buf[256];
   std::snprintf(buf, sizeof(buf), fmt, args...);
   problems.emplace_back(buf);
+}
+
+/// Edge-list checks of string \p k (see SystemModel::validate()).
+void check_edges(std::vector<std::string>& problems, std::size_t k,
+                 const AppString& s) {
+  const auto n = static_cast<AppIndex>(s.size());
+  bool endpoints_ok = true;
+  for (std::size_t e = 0; e < s.edges.size(); ++e) {
+    const Edge& edge = s.edges[e];
+    const bool in_range =
+        edge.from >= 0 && edge.from < n && edge.to >= 0 && edge.to < n;
+    endpoints_ok = endpoints_ok && in_range;
+    check(problems, in_range, "string %zu edge %zu endpoint out of range", k, e);
+    check(problems, edge.from != edge.to, "string %zu edge %zu is a self-loop", k, e);
+    check(problems, edge.from <= edge.to,
+          "string %zu edge %zu runs backward (%d -> %d)", k, e, edge.from, edge.to);
+    check(problems, edge.kbytes >= 0.0, "string %zu edge %zu negative output", k, e);
+    if (e > 0) {
+      const Edge& prev = s.edges[e - 1];
+      const bool same = prev.from == edge.from && prev.to == edge.to;
+      check(problems, !same, "string %zu edge %zu duplicates edge %zu", k, e, e - 1);
+      const bool increasing =
+          prev.from < edge.from || (prev.from == edge.from && prev.to < edge.to);
+      check(problems, same || increasing,
+            "string %zu edges not sorted by (from, to) at edge %zu", k, e);
+    }
+  }
+  if (!endpoints_ok || n == 0) return;
+  // Weak connectivity by union-find over the undirected edges.
+  std::vector<AppIndex> root(static_cast<std::size_t>(n));
+  std::iota(root.begin(), root.end(), 0);
+  auto find = [&](AppIndex a) {
+    while (root[static_cast<std::size_t>(a)] != a) {
+      auto& up = root[static_cast<std::size_t>(a)];
+      up = root[static_cast<std::size_t>(up)];  // path halving
+      a = up;
+    }
+    return a;
+  };
+  AppIndex components = n;
+  for (const Edge& edge : s.edges) {
+    const AppIndex a = find(edge.from);
+    const AppIndex b = find(edge.to);
+    if (a != b) {
+      root[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
+      --components;
+    }
+  }
+  check(problems, components == 1, "string %zu is not weakly connected", k);
 }
 }  // namespace
 
@@ -67,9 +117,8 @@ std::vector<std::string> SystemModel::validate() const {
               "string %zu app %zu utilization %.3f outside (0,1] on machine %zu", k,
               i, u, j);
       }
-      check(problems, a.output_kbytes >= 0.0, "string %zu app %zu negative output",
-            k, i);
     }
+    check_edges(problems, k, s);
   }
   return problems;
 }
@@ -106,8 +155,7 @@ SystemModelBuilder& SystemModelBuilder::begin_string(double period_s,
   s.max_latency_s = max_latency_s;
   s.worth = worth;
   s.name = std::move(name);
-  model_.strings.push_back(std::move(s));
-  return *this;
+  return add_string(std::move(s));
 }
 
 SystemModelBuilder& SystemModelBuilder::add_app(double time_s, double util,
@@ -125,12 +173,17 @@ SystemModelBuilder& SystemModelBuilder::add_app(std::vector<double> time_s,
   if (model_.strings.empty()) {
     throw std::logic_error("add_app called before begin_string");
   }
+  AppString& s = model_.strings.back();
+  if (!s.apps.empty()) {
+    const auto last = static_cast<AppIndex>(s.apps.size() - 1);
+    s.edges.push_back({last, last + 1, pending_output_kbytes_});
+  }
   Application a;
   a.nominal_time_s = std::move(time_s);
   a.nominal_util = std::move(util);
-  a.output_kbytes = output_kbytes;
   a.name = std::move(name);
-  model_.strings.back().apps.push_back(std::move(a));
+  s.apps.push_back(std::move(a));
+  pending_output_kbytes_ = output_kbytes;
   return *this;
 }
 

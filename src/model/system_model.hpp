@@ -32,8 +32,11 @@ struct SystemModel {
   [[nodiscard]] int total_worth_available() const noexcept;
 
   /// Structural validation: consistent per-machine vectors, positive periods
-  /// and latencies, utilizations in (0,1], nonnegative outputs, positive
-  /// bandwidths.  Returns human-readable problem descriptions (empty = valid).
+  /// and latencies, utilizations in (0,1], positive bandwidths, and for every
+  /// string an edge list that is strictly increasing in (from, to) with
+  /// in-range endpoints, from < to (so index order is topological),
+  /// nonnegative outputs, and a weakly connected graph.  Returns
+  /// human-readable problem descriptions (empty = valid).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 
@@ -56,7 +59,9 @@ class SystemModelBuilder {
   SystemModelBuilder& begin_string(double period_s, double max_latency_s,
                                    Worth worth = Worth::kLow, std::string name = {});
   /// Adds an application whose nominal time/util are identical on every
-  /// machine (homogeneous shortcut).
+  /// machine (homogeneous shortcut).  The string is built as a chain: the
+  /// app's \p output_kbytes becomes the edge to the next app added (and is
+  /// dropped if none follows — a final output feeds actuators, not a route).
   SystemModelBuilder& add_app(double time_s, double util, double output_kbytes = 0.0,
                               std::string name = {});
   /// Adds an application with per-machine times/utils.
@@ -65,6 +70,7 @@ class SystemModelBuilder {
 
   SystemModelBuilder& add_string(AppString s) {
     model_.strings.push_back(std::move(s));
+    pending_output_kbytes_ = 0.0;
     return *this;
   }
 
@@ -72,6 +78,8 @@ class SystemModelBuilder {
 
  private:
   SystemModel model_;
+  /// Output of the current string's last app, waiting for a successor.
+  double pending_output_kbytes_ = 0.0;
 };
 
 }  // namespace tsce::model

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "analysis/priority.hpp"
 
@@ -85,6 +87,10 @@ SimResult simulate(const SystemModel& model, const Allocation& alloc,
   for (std::size_t k = 0; k < q; ++k) {
     if (!alloc.deployed(static_cast<StringId>(k))) continue;
     const auto& s = model.strings[k];
+    if (!s.is_path()) {
+      throw std::invalid_argument("simulate: string " + std::to_string(k) +
+                                  " is not a chain; DAG strings are not simulated");
+    }
     tightness[k] = analysis::priority_value(model, alloc, static_cast<StringId>(k),
                                             options.priority_rule);
     max_period = std::max(max_period, s.period_s);
@@ -113,7 +119,7 @@ SimResult simulate(const SystemModel& model, const Allocation& alloc,
           edge.i = static_cast<AppIndex>(i);
           edge.j1 = j;
           edge.j2 = j2;
-          edge.megabits = model::kbytes_to_megabits(s.apps[i].output_kbytes);
+          edge.megabits = model::kbytes_to_megabits(s.edges[i].kbytes);
           edge.bandwidth = model.network.bandwidth_mbps(j, j2);
           edge.period = s.period_s;
           edge_nodes.push_back(edge);
@@ -335,8 +341,8 @@ SystemModel scale_input_workload(const SystemModel& model, double factor) {
   for (auto& s : scaled.strings) {
     for (auto& a : s.apps) {
       for (auto& time : a.nominal_time_s) time *= factor;
-      a.output_kbytes *= factor;
     }
+    for (auto& e : s.edges) e.kbytes *= factor;
   }
   return scaled;
 }

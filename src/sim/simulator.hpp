@@ -76,13 +76,15 @@ struct SimResult {
   [[nodiscard]] std::size_t total_violations() const noexcept;
 };
 
-/// Runs the simulation for the deployed strings of \p alloc.
+/// Runs the simulation for the deployed strings of \p alloc.  Deployed
+/// strings must be chains (AppString::is_path); a deployed DAG string throws
+/// std::invalid_argument.
 [[nodiscard]] SimResult simulate(const model::SystemModel& model,
                                  const model::Allocation& alloc,
                                  SimOptions options = {});
 
 /// Returns a copy of \p model with the input workload scaled by \p factor:
-/// nominal execution times and output sizes are multiplied by factor while
+/// nominal execution times and edge output sizes are multiplied by factor while
 /// periods and latency bounds stay fixed, emulating an unpredictable increase
 /// in input workload (paper §1).
 [[nodiscard]] model::SystemModel scale_input_workload(const model::SystemModel& model,

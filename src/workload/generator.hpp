@@ -78,17 +78,26 @@ struct GeneratorConfig {
                                                     double string_scale = 1.0);
 };
 
-/// Draws a complete random TSCE instance.  Deterministic given \p rng state.
+/// Draws a complete random TSCE instance of chain strings.  Deterministic
+/// given \p rng state.
 [[nodiscard]] model::SystemModel generate(const GeneratorConfig& config,
                                           util::Rng& rng);
 
+/// Draws an instance of DAG strings (the paper's footnote 2) from the same
+/// parameter ranges: a random spanning tree (every app after the first
+/// receives an edge from a uniformly chosen earlier app) plus each other
+/// forward pair with probability 0.15.  Deterministic given \p rng state.
+[[nodiscard]] model::SystemModel generate_dag(const GeneratorConfig& config,
+                                              util::Rng& rng);
+
 /// The §8 latency-bound formula: mu times the average nominal end-to-end time
-/// (average execution per app plus average transfer per output).
+/// (average execution per app plus average transfer per edge) along the
+/// string's critical path.
 [[nodiscard]] double latency_bound(const model::SystemModel& model,
                                    const model::AppString& s, double mu);
 
 /// The §8 period formula: mu times the largest average nominal execution or
-/// transfer time along the string.
+/// transfer time in the string.
 [[nodiscard]] double period_bound(const model::SystemModel& model,
                                   const model::AppString& s, double mu);
 

@@ -90,24 +90,42 @@ void run_candidate_stream(DecodeContext& ctx, std::vector<StringId>& order,
   }
 }
 
-TEST(NoAllocDecode, SteadyStateCandidateStreamIsAllocationFree) {
-  const auto cfg = workload::GeneratorConfig::for_scenario(
-      workload::Scenario::kHighlyLoaded, 0.4);
-  util::Rng model_rng(99);
-  const SystemModel m = workload::generate(cfg, model_rng);
+/// Warms a context on \p m's candidate stream, then counts the heap
+/// allocations of an identical second pass.
+std::size_t steady_state_allocations(const SystemModel& m) {
   auto order = identity_order(m);
   util::Rng shuffle_rng(5);
   shuffle_rng.shuffle(order);
 
   DecodeContext ctx(m);
   run_candidate_stream(ctx, order, 200);  // warm: size every buffer
-
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   run_candidate_stream(ctx, order, 200);  // identical stream, warm buffers
-  const std::size_t during =
-      g_allocations.load(std::memory_order_relaxed) - before;
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(NoAllocDecode, SteadyStateCandidateStreamIsAllocationFree) {
+  const auto cfg = workload::GeneratorConfig::for_scenario(
+      workload::Scenario::kHighlyLoaded, 0.4);
+  util::Rng model_rng(99);
+  const SystemModel m = workload::generate(cfg, model_rng);
+  const std::size_t during = steady_state_allocations(m);
   EXPECT_EQ(during, 0u)
       << during << " heap allocations on the steady-state decode path";
+}
+
+TEST(NoAllocDecode, DagStringsAreAllocationFree) {
+  // Critical-path latency, the DAG frontier walk and per-edge estimates share
+  // the chain path's ctor-sized scratch.
+  auto cfg = workload::GeneratorConfig::for_scenario(
+      workload::Scenario::kHighlyLoaded, 0.4);
+  cfg.min_apps_per_string = 2;
+  cfg.max_apps_per_string = 8;
+  util::Rng model_rng(99);
+  const SystemModel m = workload::generate_dag(cfg, model_rng);
+  const std::size_t during = steady_state_allocations(m);
+  EXPECT_EQ(during, 0u)
+      << during << " heap allocations on the steady-state DAG decode path";
 }
 
 }  // namespace

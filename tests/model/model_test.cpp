@@ -83,7 +83,7 @@ TEST(SystemModel, ValidateCatchesEmptyString) {
 
 TEST(SystemModel, ValidateCatchesNegativeOutput) {
   SystemModel m = testing::two_machine_system();
-  m.strings[0].apps[0].output_kbytes = -1.0;
+  m.strings[0].edges[0].kbytes = -1.0;
   EXPECT_FALSE(m.validate().empty());
 }
 

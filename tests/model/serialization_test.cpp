@@ -33,8 +33,8 @@ void expect_models_equal(const SystemModel& a, const SystemModel& b) {
       EXPECT_EQ(sa.apps[i].name, sb.apps[i].name);
       EXPECT_EQ(sa.apps[i].nominal_time_s, sb.apps[i].nominal_time_s);
       EXPECT_EQ(sa.apps[i].nominal_util, sb.apps[i].nominal_util);
-      EXPECT_DOUBLE_EQ(sa.apps[i].output_kbytes, sb.apps[i].output_kbytes);
     }
+    EXPECT_EQ(sa.edges, sb.edges);
   }
 }
 

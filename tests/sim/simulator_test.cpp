@@ -159,7 +159,7 @@ TEST(ScaleInputWorkload, ScalesTimesAndOutputsOnly) {
   const SystemModel m = testing::two_machine_system();
   const SystemModel scaled = scale_input_workload(m, 1.5);
   EXPECT_DOUBLE_EQ(scaled.strings[0].apps[0].nominal_time_s[0], 3.0);
-  EXPECT_DOUBLE_EQ(scaled.strings[0].apps[0].output_kbytes, 150.0);
+  EXPECT_DOUBLE_EQ(scaled.strings[0].edges[0].kbytes, 150.0);
   EXPECT_DOUBLE_EQ(scaled.strings[0].apps[0].nominal_util[0], 0.5);  // unchanged
   EXPECT_DOUBLE_EQ(scaled.strings[0].period_s, 10.0);                // unchanged
   EXPECT_DOUBLE_EQ(scaled.strings[0].max_latency_s, 30.0);           // unchanged

@@ -45,4 +45,27 @@ inline model::SystemModel figure2_system(double p1, double p2, double u1,
       .build();
 }
 
+/// A diamond DAG string on \p machines homogeneous machines: 0 -> 1, 0 -> 2,
+/// 1 -> 3, 2 -> 3, every app t=1 s, u=\p util, outputs 10/20/30/40 KB.
+inline model::AppString diamond_string(std::size_t machines, double util = 0.5) {
+  model::AppString s;
+  s.apps.resize(4);
+  for (auto& a : s.apps) {
+    a.nominal_time_s.assign(machines, 1.0);
+    a.nominal_util.assign(machines, util);
+  }
+  s.edges = {{0, 1, 10.0}, {0, 2, 20.0}, {1, 3, 30.0}, {2, 3, 40.0}};
+  s.period_s = 10.0;
+  s.max_latency_s = 50.0;
+  return s;
+}
+
+/// One machine (5 Mb/s routes, all intra-machine anyway) holding one diamond.
+inline model::SystemModel diamond_system() {
+  model::SystemModel m;
+  m.network = model::Network(1, 5.0);
+  m.strings.push_back(diamond_string(1));
+  return m;
+}
+
 }  // namespace tsce::testing

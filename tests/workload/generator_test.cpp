@@ -64,12 +64,12 @@ TEST(Generator, ParameterRangesRespected) {
         EXPECT_GE(s.apps[i].nominal_util[j], 0.1);
         EXPECT_LE(s.apps[i].nominal_util[j], 1.0);
       }
-      if (i + 1 < s.size()) {
-        EXPECT_GE(s.apps[i].output_kbytes, 10.0);
-        EXPECT_LE(s.apps[i].output_kbytes, 100.0);
-      } else {
-        EXPECT_DOUBLE_EQ(s.apps[i].output_kbytes, 0.0);
-      }
+    }
+    // A chain: edge e runs from app e to app e+1 and carries U[10,100] KB.
+    EXPECT_TRUE(s.is_path());
+    for (const model::Edge& e : s.edges) {
+      EXPECT_GE(e.kbytes, 10.0);
+      EXPECT_LE(e.kbytes, 100.0);
     }
   }
   for (model::MachineId j1 = 0; j1 < 12; ++j1) {
