@@ -7,6 +7,8 @@
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
 #include "genitor/genitor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace tsce::core {
@@ -21,9 +23,10 @@ namespace {
 /// the frozen base order followed by the class ordering.  Every candidate
 /// shares the frozen base as a prefix, so the context-based decode reuses it
 /// across the whole search instead of re-deploying it per evaluation.
-/// Satisfies genitor::BatchProblem: evaluate_batch() fans candidate sets
-/// (the initial population) out across the BatchEvaluator's workers, with
-/// byte-identical results at any eval_threads count.
+/// Satisfies genitor::PrefixProblem: evaluate_prefix_batch() fans candidate
+/// sets (the initial population) out across the BatchEvaluator's workers,
+/// with byte-identical results at any eval_threads count, and the decisive
+/// prefix is counted from the end of the frozen base.
 class ClassOrderProblem {
  public:
   using Chromosome = std::vector<StringId>;
@@ -35,12 +38,17 @@ class ClassOrderProblem {
         evaluator_(model, eval_threads) {}
 
   [[nodiscard]] Fitness evaluate(const Chromosome& order) const {
-    full_.assign(base_->begin(), base_->end());
-    full_.insert(full_.end(), order.begin(), order.end());
-    return decode_order_into(evaluator_.context(0), full_).fitness;
+    return evaluate_prefix(order).fitness;
   }
 
-  [[nodiscard]] std::vector<Fitness> evaluate_batch(
+  [[nodiscard]] genitor::Evaluation<Fitness> evaluate_prefix(
+      const Chromosome& order) const {
+    full_.assign(base_->begin(), base_->end());
+    full_.insert(full_.end(), order.begin(), order.end());
+    return scored(decode_order_into(evaluator_.context(0), full_), order.size());
+  }
+
+  [[nodiscard]] std::vector<genitor::Evaluation<Fitness>> evaluate_prefix_batch(
       std::span<const Chromosome> batch) const {
     std::vector<Chromosome> full_orders(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -49,7 +57,12 @@ class ClassOrderProblem {
       full_orders[i].insert(full_orders[i].end(), batch[i].begin(),
                             batch[i].end());
     }
-    return evaluator_.evaluate_fitness(full_orders);
+    const std::vector<DecodeOutcome> outcomes = evaluator_.evaluate(full_orders);
+    std::vector<genitor::Evaluation<Fitness>> result(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      result[i] = scored(outcomes[i], batch[i].size());
+    }
+    return result;
   }
 
   [[nodiscard]] std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,
@@ -79,6 +92,14 @@ class ClassOrderProblem {
   }
 
  private:
+  /// The decisive prefix of base + candidate, counted within the candidate:
+  /// a failure inside the base makes it 0, so every candidate inherits.
+  [[nodiscard]] genitor::Evaluation<Fitness> scored(const DecodeOutcome& o,
+                                                    std::size_t candidate_size) const {
+    const std::size_t d = o.decisive(base_->size() + candidate_size);
+    return {o.fitness, d > base_->size() ? d - base_->size() : 0};
+  }
+
   const std::vector<StringId>* base_;
   std::vector<StringId> members_;
   mutable BatchEvaluator evaluator_;
@@ -96,6 +117,8 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
 
   std::size_t class_index = 0;
   const obs::PhaseId phase = obs::intern_phase("ClassBased");
+  obs::Counter& inherited =
+      obs::MetricsRegistry::instance().counter(obs::names::kGenitorInherited);
   for (const Worth worth_class : kClassOrder) {
     std::vector<StringId> members;
     for (std::size_t k = 0; k < model.num_strings(); ++k) {
@@ -131,6 +154,7 @@ AllocatorResult ClassBasedAllocator::allocate(const SystemModel& model,
                                  elite.total_worth, elite.slackness);
             });
         evaluations += ga_result.evaluations;
+        inherited.add(ga_result.inherited);
         if (!have_best || best_fitness < ga_result.best_fitness) {
           best_fitness = ga_result.best_fitness;
           best_class_order = std::move(ga_result.best);

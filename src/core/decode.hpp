@@ -49,6 +49,13 @@ struct DecodeOutcome {
   model::StringId first_failed = model::kInvalidId;
   /// Strings reused from the committed prefix of the previous decode.
   std::size_t prefix_reused = 0;
+
+  /// Length of the prefix of the decoded order (of \p order_size strings)
+  /// that determines this outcome: the deployed strings plus the one that
+  /// failed, or the whole order when every string fit.
+  [[nodiscard]] std::size_t decisive(std::size_t order_size) const noexcept {
+    return first_failed == model::kInvalidId ? order_size : strings_deployed + 1;
+  }
 };
 
 /// Reusable decoding state: a long-lived AllocationSession, the stack of

@@ -5,6 +5,8 @@
 
 #include "core/decode.hpp"
 #include "core/ordered.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "obs/trace.hpp"
 
 namespace tsce::core {
@@ -19,6 +21,22 @@ analysis::Fitness PermutationProblem::evaluate(const Chromosome& order) const {
 std::vector<analysis::Fitness> PermutationProblem::evaluate_batch(
     std::span<const Chromosome> batch) const {
   return evaluator_.evaluate_fitness(batch);
+}
+
+genitor::Evaluation<analysis::Fitness> PermutationProblem::evaluate_prefix(
+    const Chromosome& order) const {
+  const DecodeOutcome o = decode_order_into(evaluator_.context(0), order);
+  return {o.fitness, o.decisive(order.size())};
+}
+
+std::vector<genitor::Evaluation<analysis::Fitness>>
+PermutationProblem::evaluate_prefix_batch(std::span<const Chromosome> batch) const {
+  const std::vector<DecodeOutcome> outcomes = evaluator_.evaluate(batch);
+  std::vector<genitor::Evaluation<analysis::Fitness>> scored(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    scored[i] = {outcomes[i].fitness, outcomes[i].decisive(batch[i].size())};
+  }
+  return scored;
 }
 
 PermutationProblem::Chromosome PermutationProblem::reorder_top(
@@ -79,6 +97,8 @@ AllocatorResult Psg::allocate(const SystemModel& model, util::Rng& rng) const {
   bool have_best = false;
   std::size_t total_evaluations = 0;
   const obs::PhaseId phase = obs::intern_phase(name());
+  obs::Counter& inherited =
+      obs::MetricsRegistry::instance().counter(obs::names::kGenitorInherited);
   for (std::size_t trial = 0; trial < std::max<std::size_t>(1, options_.trials);
        ++trial) {
     obs::Span span(obs::FrKind::kSearchTrial, phase, trial);
@@ -91,6 +111,7 @@ AllocatorResult Psg::allocate(const SystemModel& model, util::Rng& rng) const {
                                     elite.slackness);
                });
     total_evaluations += ga_result.evaluations;
+    inherited.add(ga_result.inherited);
     span.set(std::uint64_t{ga_result.evaluations});
     if (!have_best || best.fitness < ga_result.best_fitness) {
       DecodeResult decoded = decode_order(model, ga_result.best);

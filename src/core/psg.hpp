@@ -38,7 +38,9 @@ struct PsgOptions {
 /// GENITOR problem adapter for the permutation space.  Owns the evaluation
 /// engine: every evaluate() goes through a long-lived DecodeContext (prefix
 /// reuse, no per-candidate allocation), and evaluate_batch() fans initial
-/// populations out across the BatchEvaluator's workers.
+/// populations out across the BatchEvaluator's workers.  A genitor
+/// PrefixProblem: the decode stops at the first string that fails, so the
+/// fitness depends only on the deployed strings plus that one.
 class PermutationProblem {
  public:
   using Chromosome = std::vector<model::StringId>;
@@ -50,6 +52,9 @@ class PermutationProblem {
 
   [[nodiscard]] Fitness evaluate(const Chromosome& order) const;
   [[nodiscard]] std::vector<Fitness> evaluate_batch(
+      std::span<const Chromosome> batch) const;
+  [[nodiscard]] genitor::Evaluation<Fitness> evaluate_prefix(const Chromosome& order) const;
+  [[nodiscard]] std::vector<genitor::Evaluation<Fitness>> evaluate_prefix_batch(
       std::span<const Chromosome> batch) const;
   [[nodiscard]] std::pair<Chromosome, Chromosome> crossover(const Chromosome& a,
                                                             const Chromosome& b,

@@ -12,6 +12,13 @@
 ///
 /// The framework is problem-agnostic: a Problem type supplies the chromosome
 /// representation and the evaluate / crossover / mutate operators.
+///
+/// Decisive prefixes: a PrefixProblem also reports, per evaluation, how long
+/// a chromosome prefix its fitness depends on.  An offspring that agrees with
+/// one of its parents on that parent's decisive prefix has the parent's
+/// fitness exactly, so it inherits it instead of being evaluated.  Every RNG
+/// draw, competition and result is the same as with full evaluation; only
+/// the evaluate() calls are saved.
 
 #pragma once
 
@@ -19,6 +26,7 @@
 #include <cmath>
 #include <concepts>
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -65,6 +73,28 @@ concept Problem = requires(const P& p, const typename P::Chromosome& c,
   { p.random_chromosome(rng) } -> std::convertible_to<typename P::Chromosome>;
 };
 
+/// A PrefixProblem evaluation: the fitness is a function of the chromosome's
+/// first \p decisive genes alone.
+template <typename F>
+struct Evaluation {
+  F fitness;
+  std::size_t decisive = 0;
+};
+
+/// Problems whose fitness depends only on a chromosome prefix (a random-access
+/// sequence), which they report with each evaluation.  evaluate_prefix must be
+/// a pure function of that prefix, and its fitness must equal evaluate()'s;
+/// the batch form must match per-chromosome evaluate_prefix exactly.
+template <typename P>
+concept PrefixProblem =
+    Problem<P> && requires(const P& p, const typename P::Chromosome& c,
+                           std::span<const typename P::Chromosome> batch) {
+      { p.evaluate_prefix(c) } -> std::convertible_to<Evaluation<typename P::Fitness>>;
+      {
+        p.evaluate_prefix_batch(batch)
+      } -> std::convertible_to<std::vector<Evaluation<typename P::Fitness>>>;
+    };
+
 /// Problems that can evaluate a whole batch at once (e.g. across a
 /// BatchEvaluator's workers).  The framework uses this for the initial
 /// population, where all chromosomes are known up front; results must match
@@ -80,7 +110,11 @@ struct Result {
   typename P::Chromosome best;
   typename P::Fitness best_fitness;
   std::size_t iterations = 0;
+  /// Offspring scored, inherited ones included (the budget counts these).
   std::size_t evaluations = 0;
+  /// Offspring that took a parent's fitness instead of being evaluated
+  /// (PrefixProblems only; always <= evaluations).
+  std::size_t inherited = 0;
   StopReason stop_reason = StopReason::kIterationBudget;
 };
 
@@ -124,7 +158,13 @@ class Genitor {
       initial.push_back(problem_.random_chromosome(rng));
     }
     result.evaluations += initial.size();
-    if constexpr (BatchProblem<P>) {
+    if constexpr (PrefixProblem<P>) {
+      std::vector<Evaluation<Fitness>> scored = problem_.evaluate_prefix_batch(initial);
+      for (std::size_t i = 0; i < initial.size(); ++i) {
+        insert_sorted({std::move(initial[i]), std::move(scored[i].fitness),
+                       scored[i].decisive});
+      }
+    } else if constexpr (BatchProblem<P>) {
       std::vector<Fitness> fitness = problem_.evaluate_batch(initial);
       for (std::size_t i = 0; i < initial.size(); ++i) {
         insert_sorted({std::move(initial[i]), std::move(fitness[i])});
@@ -147,20 +187,19 @@ class Genitor {
       if (population_.size() > 1) {
         while (r2 == r1) r2 = pick(rng);
       }
-      auto [c1, c2] = problem_.crossover(population_[r1].chromosome,
-                                         population_[r2].chromosome, rng);
-      Fitness f1 = problem_.evaluate(c1);
-      compete({std::move(c1), std::move(f1)});
-      Fitness f2 = problem_.evaluate(c2);
-      compete({std::move(c2), std::move(f2)});
-      result.evaluations += 2;
+      const Member& a = population_[r1];
+      const Member& b = population_[r2];
+      auto [c1, c2] = problem_.crossover(a.chromosome, b.chromosome, rng);
+      // Score both offspring before either competes: compete() reorders the
+      // population, so a and b would no longer name the parents.
+      Member o1 = score(std::move(c1), a, &b, result);
+      Member o2 = score(std::move(c2), a, &b, result);
+      compete(std::move(o1));
+      compete(std::move(o2));
 
       // Mutation: one biased pick, one offspring.
-      const std::size_t rm = pick(rng);
-      Chromosome m = problem_.mutate(population_[rm].chromosome, rng);
-      Fitness fm = problem_.evaluate(m);
-      compete({std::move(m), std::move(fm)});
-      ++result.evaluations;
+      const Member& p = population_[pick(rng)];
+      compete(score(problem_.mutate(p.chromosome, rng), p, nullptr, result));
 
       if (elite < population_.front().fitness) {
         elite = population_.front().fitness;
@@ -187,7 +226,33 @@ class Genitor {
   struct Member {
     Chromosome chromosome;
     Fitness fitness;
+    /// Length of the prefix the fitness depends on (PrefixProblems only).
+    std::size_t decisive = 0;
   };
+
+  /// Offspring \p c of \p first (and \p second, for crossover): inherits a
+  /// parent's fitness when it matches that parent's decisive prefix,
+  /// otherwise is evaluated.  Counts toward result.evaluations either way.
+  Member score(Chromosome c, const Member& first, const Member* second,
+               Result<P>& result) const {
+    ++result.evaluations;
+    if constexpr (PrefixProblem<P>) {
+      for (const Member* parent : {&first, second}) {
+        if (parent != nullptr && parent->decisive <= c.size() &&
+            std::equal(c.begin(),
+                       c.begin() + static_cast<std::ptrdiff_t>(parent->decisive),
+                       parent->chromosome.begin())) {
+          ++result.inherited;
+          return {std::move(c), parent->fitness, parent->decisive};
+        }
+      }
+      Evaluation<Fitness> e = problem_.evaluate_prefix(c);
+      return {std::move(c), std::move(e.fitness), e.decisive};
+    } else {
+      Fitness f = problem_.evaluate(c);
+      return {std::move(c), std::move(f)};
+    }
+  }
 
   [[nodiscard]] std::size_t pick(util::Rng& rng) const noexcept {
     return biased_rank(population_.size(), config_.bias, rng.uniform());

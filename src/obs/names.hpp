@@ -25,6 +25,10 @@ inline constexpr std::string_view kDecodeCommitsAttempted = "decode.commits_atte
 inline constexpr std::string_view kDecodeStringsReused = "decode.strings_reused";
 inline constexpr std::string_view kDecodePrefixReuseLen = "decode.prefix_reuse_len";
 
+// --- GENITOR (folded per run by Psg::allocate and the class-based search) --
+/// Offspring that took a parent's fitness instead of being decoded.
+inline constexpr std::string_view kGenitorInherited = "genitor.inherited";
+
 // --- hot-path latency histograms (HDR, nanoseconds) -------------------------
 // Wall-clock distributions; excluded from cross-thread-count byte-identity
 // checks (see DESIGN.md §13).  Everything else in this file is
