@@ -5,10 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
 #include "analysis/estimates.hpp"
-#include "model/serialization.hpp"
 #include "analysis/session.hpp"
 #include "core/decode.hpp"
 #include "core/evaluator.hpp"
@@ -205,35 +202,6 @@ void BM_AnnealTempering(benchmark::State& state) {
 BENCHMARK(BM_AnnealTempering)->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
-/// Thread churn with no metrics activity: the baseline spawn/join cost that
-/// BM_ThreadChurnShardRetirement is compared against.
-void BM_ThreadChurnBaseline(benchmark::State& state) {
-  for (auto _ : state) {
-    std::thread worker([] {});
-    worker.join();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ThreadChurnBaseline);
-
-/// Thread churn where each short-lived thread touches one registry counter,
-/// so its shard is folded-and-removed under the registry mutex on thread
-/// exit.  The delta over BM_ThreadChurnBaseline is the full shard-retirement
-/// cost (ROADMAP: decide whether the mutex needs replacing with a lock-free
-/// list — see DESIGN.md for the recorded verdict).
-void BM_ThreadChurnShardRetirement(benchmark::State& state) {
-  for (auto _ : state) {
-    std::thread worker([] {
-      obs::MetricsRegistry::instance()
-          .counter(obs::names::kBenchMicroCounter)
-          .add(1);
-    });
-    worker.join();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ThreadChurnShardRetirement);
-
 void BM_EstimateAll(benchmark::State& state) {
   const auto m = make_instance(6, static_cast<std::size_t>(state.range(0)));
   const auto decoded = core::decode_order(m, core::identity_order(m));
@@ -244,45 +212,33 @@ void BM_EstimateAll(benchmark::State& state) {
 BENCHMARK(BM_EstimateAll)->Arg(12)->Arg(24);
 
 /// Paper-shaped upper-bound LP (multi-app strings, full flow/route blocks)
-/// solved by either engine: Arg0 = strings, Arg1 = 0 sparse / 1 dense.  The
-/// dense engine's explicit basis inverse is O(m^2) per pivot, so the gap
-/// widens with the instance; the pair of rows per Arg0 is the before/after
-/// column of BENCH_lp.json.
+/// built and solved end to end: Arg0 = strings.
 void BM_SimplexUpperBound(benchmark::State& state) {
   const auto m = make_instance(4, static_cast<std::size_t>(state.range(0)));
-  lp::UpperBoundOptions options;
-  options.simplex.engine = state.range(1) == 0 ? lp::SimplexEngine::kSparse
-                                               : lp::SimplexEngine::kDense;
   lp::UpperBoundResult last;
   for (auto _ : state) {
-    last = lp::upper_bound_worth(m, options);
+    last = lp::upper_bound_worth(m);
     benchmark::DoNotOptimize(last);
   }
-  state.SetLabel(state.range(1) == 0 ? "sparse" : "dense");
   state.counters["rows"] = static_cast<double>(last.lp_rows);
   state.counters["cols"] = static_cast<double>(last.lp_cols);
   state.counters["iters"] = static_cast<double>(last.iterations);
   state.counters["refactors"] = static_cast<double>(last.refactorisations);
 }
 BENCHMARK(BM_SimplexUpperBound)
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({24, 0})
-    ->Args({24, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(24)
+    ->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-/// Sparse engine head-to-head on one mid-size paper-shaped LP, reusing the
-/// assembled problem (the UpperBoundSolver service path) so the measurement
-/// isolates the solve itself.
+/// The simplex alone on one mid-size paper-shaped LP: the problem is built
+/// once outside the loop, so the measurement isolates the solve itself.
 void BM_SimplexSparse(benchmark::State& state) {
   const auto m = make_instance(6, static_cast<std::size_t>(state.range(0)));
   const lp::LpProblem problem = lp::build_upper_bound_lp(
       m, /*complete=*/false, lp::UbObjective::kTotalWorth);
-  lp::SimplexOptions options;  // kSparse default
+  lp::SimplexOptions options;
   for (auto _ : state) {
     benchmark::DoNotOptimize(lp::solve(problem, options));
   }
@@ -293,9 +249,8 @@ BENCHMARK(BM_SimplexSparse)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 /// Fleet-scale workload: hundreds of machines, thousands of single-app
 /// strings (the TDM-client shape — no inter-app edges, so the route-capacity
-/// block vanishes and the LP is Q deployment rows + M capacity rows).  The
-/// dense engine is not benchmarked here: its O(m^2)-per-pivot inverse makes
-/// this scale infeasible, which is the point of the sparse rewrite.
+/// block vanishes and the LP is Q deployment rows + M capacity rows).  A
+/// dense O(m^2)-per-pivot basis inverse would make this scale infeasible.
 model::SystemModel fleet_instance(std::size_t machines, std::size_t strings) {
   util::Rng rng(99);
   auto config =
@@ -358,18 +313,6 @@ void BM_DagMapString(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DagMapString)->Arg(4)->Arg(12);
-
-void BM_JsonModelRoundTrip(benchmark::State& state) {
-  const auto m = make_instance(6, static_cast<std::size_t>(state.range(0)));
-  const std::string text = model::to_json(m).dump();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model::system_model_from_json(util::Json::parse(text)));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_JsonModelRoundTrip)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
 /// Cost of one registry counter increment (the obs hot-path primitive): a
 /// thread-local relaxed load+store, no lock, no RMW.

@@ -25,7 +25,17 @@ const char* to_string(SolveStatus status) noexcept {
 
 namespace {
 
-using VarStatus = VarState;
+/// Dual feasibility (reduced cost) tolerance.
+constexpr double kOptimalityTol = 1e-7;
+/// Smallest acceptable pivot magnitude.
+constexpr double kPivotTol = 1e-9;
+/// Primal feasibility tolerance (bound violations).
+constexpr double kFeasibilityTol = 1e-7;
+/// Consecutive degenerate iterations before switching to Bland's rule.
+constexpr std::size_t kDegeneracyLimit = 200;
+
+/// Per-variable basis role in the computational form's column order.
+enum class VarStatus : std::uint8_t { kBasic, kAtLower, kAtUpper };
 
 /// Process-wide LP telemetry; handles resolved once (registry lookups are
 /// name-hashed, the returned references are stable for the process).
@@ -43,11 +53,15 @@ struct LpMetrics {
   }
 };
 
-/// Computational form and engine-independent simplex state: structural
-/// columns, then one slack per row, then (during phase 1) artificials.
-class SolverBase {
- protected:
-  SolverBase(const LpProblem& problem, const SimplexOptions& options)
+/// LU-factorised basis with product-form eta updates, sparse FTRAN/BTRAN,
+/// and Devex pricing over incrementally maintained reduced costs.
+/// Per-iteration work scales with factor/column nonzeros, not m².
+///
+/// Computational form: structural columns, then one slack per row, then
+/// (during phase 1) artificials.
+class SparseSolver {
+ public:
+  SparseSolver(const LpProblem& problem, const SimplexOptions& options)
       : options_(options),
         m_(problem.num_rows()),
         n_struct_(problem.num_variables()) {
@@ -91,6 +105,54 @@ class SolverBase {
     a_ = CscMatrix::from_triplets(m_, n_total, triplets);
   }
 
+  LpSolution run(Sense sense) {
+    LpSolution solution;
+    if (m_ == 0) return bound_only(sense);
+
+    max_iterations_ = options_.max_iterations != 0
+                          ? options_.max_iterations
+                          : 50 * (m_ + a_.cols) + 10000;
+    w_.resize(m_);
+    rho_.resize(m_);
+    scratch_.resize(m_);
+    build_csr();
+
+    if (!start_from_slack_basis()) {
+      solution.status = SolveStatus::kIterationLimit;
+      return solution;
+    }
+
+    if (needs_phase1()) {
+      build_artificials();
+      const SolveStatus phase1 = iterate();
+      solution.phase1_iterations = iterations_;
+      solution.refactorisations = refactor_count_;
+      if (phase1 == SolveStatus::kIterationLimit) {
+        solution.status = phase1;
+        return solution;
+      }
+      if (phase1_objective() > 1e-6) {
+        solution.status = SolveStatus::kInfeasible;
+        return solution;
+      }
+      seal_artificials();
+      recompute_duals();  // same basis, new objective
+      gamma_.assign(a_.cols, 1.0);
+    }
+
+    const SolveStatus status = iterate();
+    solution.status = status;
+    solution.iterations = iterations_;
+    solution.refactorisations = refactor_count_;
+    solution.x = extract_structurals();
+    solution.objective = objective_of(solution.x, sense);
+    if (status == SolveStatus::kOptimal) {
+      solution.row_duals = extract_row_duals(sense);
+    }
+    return solution;
+  }
+
+ private:
   static double finite_or(double v, double fallback) noexcept {
     return std::isfinite(v) ? v : fallback;
   }
@@ -118,8 +180,44 @@ class SolverBase {
     return solution;
   }
 
-  /// Default nonbasic statuses plus the all-slack basis.
-  void set_slack_basis() {
+  /// CSR mirror of a_ for pivot-row (BTRAN-side) products; rebuilt whenever
+  /// the column set changes.  Iterating CSC columns in order leaves each row
+  /// sorted by column index — deterministic scatter order.
+  void build_csr() {
+    ar_start_.assign(m_ + 1, 0);
+    for (std::size_t p = 0; p < a_.row_index.size(); ++p) {
+      ++ar_start_[static_cast<std::size_t>(a_.row_index[p]) + 1];
+    }
+    for (std::size_t r = 0; r < m_; ++r) ar_start_[r + 1] += ar_start_[r];
+    ar_col_.resize(a_.row_index.size());
+    ar_val_.resize(a_.row_index.size());
+    std::vector<std::size_t> fill = ar_start_;
+    for (std::size_t c = 0; c < a_.cols; ++c) {
+      for (std::int64_t p = a_.col_start[c]; p < a_.col_start[c + 1]; ++p) {
+        const auto r = static_cast<std::size_t>(a_.row_index[p]);
+        ar_col_[fill[r]] = static_cast<std::int32_t>(c);
+        ar_val_[fill[r]] = a_.value[p];
+        ++fill[r];
+      }
+    }
+  }
+
+  [[nodiscard]] bool factorize() {
+    ++refactor_count_;
+    return lu_.factorize(a_, basis_, kPivotTol);
+  }
+
+  /// Full state rebuild at the current basis: fresh factors, exact basic
+  /// values, exact reduced costs.
+  [[nodiscard]] bool refactorize() {
+    if (!factorize()) return false;
+    compute_basic_values();
+    recompute_duals();
+    return true;
+  }
+
+  /// Default nonbasic statuses plus the all-slack basis, factorised.
+  [[nodiscard]] bool start_from_slack_basis() {
     const std::size_t n_total = a_.cols;
     vstat_.assign(n_total, VarStatus::kAtLower);
     for (std::size_t j = 0; j < n_total; ++j) {
@@ -133,13 +231,15 @@ class SolverBase {
       basis_[r] = static_cast<std::int32_t>(slack);
       vstat_[slack] = VarStatus::kBasic;
     }
+    gamma_.assign(a_.cols, 1.0);
+    return refactorize();
   }
 
   [[nodiscard]] bool needs_phase1() const noexcept {
     for (std::size_t i = 0; i < m_; ++i) {
       const auto b = static_cast<std::size_t>(basis_[i]);
-      if (xb_[i] < lower_[b] - options_.feasibility_tol ||
-          xb_[i] > upper_[b] + options_.feasibility_tol) {
+      if (xb_[i] < lower_[b] - kFeasibilityTol ||
+          xb_[i] > upper_[b] + kFeasibilityTol) {
         return true;
       }
     }
@@ -149,22 +249,19 @@ class SolverBase {
   /// For every bound-violating basic slack, clamp the slack to its nearest
   /// bound (making it nonbasic) and install an artificial column that absorbs
   /// the residual with a positive basic value.  Phase 1 minimizes the sum of
-  /// artificials.  Callers must be at the slack basis (the ±1 artificial
-  /// column relies on row i of the tableau being row i of A).  Returns the
-  /// (row, sign) of every installed artificial so the engine can patch its
-  /// factorisation.
-  std::vector<std::pair<std::size_t, double>> build_artificials() {
+  /// artificials.  Runs at the slack basis (the ±1 artificial column relies
+  /// on row i of the tableau being row i of A), then refactorises.
+  void build_artificials() {
     saved_cost_ = cost_;
     std::fill(cost_.begin(), cost_.end(), 0.0);
 
-    std::vector<std::pair<std::size_t, double>> installed;
     std::vector<Triplet> extra;
     for (std::size_t i = 0; i < m_; ++i) {
       const auto b = static_cast<std::size_t>(basis_[i]);
       double violation = 0.0;
-      if (xb_[i] < lower_[b] - options_.feasibility_tol) {
+      if (xb_[i] < lower_[b] - kFeasibilityTol) {
         violation = xb_[i] - lower_[b];  // negative
-      } else if (xb_[i] > upper_[b] + options_.feasibility_tol) {
+      } else if (xb_[i] > upper_[b] + kFeasibilityTol) {
         violation = xb_[i] - upper_[b];  // positive
       } else {
         continue;
@@ -181,7 +278,6 @@ class SolverBase {
       extra.push_back({static_cast<std::int32_t>(i), static_cast<std::int32_t>(art),
                        sign});
       basis_[i] = static_cast<std::int32_t>(art);
-      installed.emplace_back(i, sign);
     }
 
     // Rebuild A with the artificial columns appended.
@@ -195,7 +291,14 @@ class SolverBase {
     }
     triplets.insert(triplets.end(), extra.begin(), extra.end());
     a_ = CscMatrix::from_triplets(m_, lower_.size(), triplets);
-    return installed;
+
+    build_csr();
+    gamma_.assign(a_.cols, 1.0);
+    alpha_.assign(a_.cols, 0.0);
+    // The artificial basis is diag(±1): factorisation cannot fail.
+    const bool ok = refactorize();
+    assert(ok && "artificial basis must factorize");
+    (void)ok;
   }
 
   [[nodiscard]] double phase1_objective() const noexcept {
@@ -236,411 +339,6 @@ class SolverBase {
       obj += (sense == Sense::kMaximize ? -cost_[v] : cost_[v]) * x[v];
     }
     return obj;
-  }
-
-  /// Snapshot of the structural+slack statuses, empty when a (degenerate)
-  /// basic artificial makes the snapshot non-restartable.
-  [[nodiscard]] SimplexBasis export_basis() const {
-    SimplexBasis out;
-    const std::size_t n_real = n_struct_ + m_;
-    out.status.resize(n_real);
-    std::size_t basics = 0;
-    for (std::size_t j = 0; j < n_real; ++j) {
-      out.status[j] = vstat_[j];
-      if (vstat_[j] == VarStatus::kBasic) ++basics;
-    }
-    if (basics != m_) out.status.clear();
-    return out;
-  }
-
-  SimplexOptions options_;
-  std::size_t m_;
-  std::size_t n_struct_;
-  CscMatrix a_;
-  std::vector<double> lower_, upper_, cost_, saved_cost_;
-  std::vector<double> rhs_;
-  std::vector<std::int32_t> basis_;
-  std::vector<VarStatus> vstat_;
-  std::vector<double> xb_;
-  std::size_t iterations_ = 0;
-  std::size_t max_iterations_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Dense engine: explicit row-major basis inverse with product-form updates
-// and Dantzig pricing.  O(m²) memory and per-iteration work.  Retained as an
-// independently implemented oracle for the sparse engine and as the
-// benchmark baseline.
-// ---------------------------------------------------------------------------
-
-class DenseSolver : private SolverBase {
- public:
-  DenseSolver(const LpProblem& problem, const SimplexOptions& options)
-      : SolverBase(problem, options) {}
-
-  LpSolution run(Sense sense) {
-    LpSolution solution;
-    if (m_ == 0) return bound_only(sense);
-
-    initialize_basis();
-    max_iterations_ = options_.max_iterations != 0
-                          ? options_.max_iterations
-                          : 50 * (m_ + a_.cols) + 10000;
-
-    if (needs_phase1()) {
-      const auto installed = build_artificials();
-      // The basis matrix became diag(±1); keep the explicit inverse exact.
-      for (const auto& rs : installed) binv_[rs.first * m_ + rs.first] = rs.second;
-      compute_basic_values();
-      const SolveStatus phase1 = iterate();
-      solution.phase1_iterations = iterations_;
-      if (phase1 == SolveStatus::kIterationLimit) {
-        solution.status = phase1;
-        return solution;
-      }
-      if (phase1_objective() > 1e-6) {
-        solution.status = SolveStatus::kInfeasible;
-        return solution;
-      }
-      seal_artificials();
-    }
-
-    const SolveStatus status = iterate();
-    solution.status = status;
-    solution.iterations = iterations_;
-    solution.x = extract_structurals();
-    solution.objective = objective_of(solution.x, sense);
-    if (status == SolveStatus::kOptimal) {
-      solution.row_duals = extract_row_duals(sense);
-      solution.basis = export_basis();
-    }
-    return solution;
-  }
-
- private:
-  void initialize_basis() {
-    set_slack_basis();
-    binv_.assign(m_ * m_, 0.0);
-    for (std::size_t r = 0; r < m_; ++r) binv_[r * m_ + r] = 1.0;
-    compute_basic_values();
-  }
-
-  /// xB = B^-1 (rhs - sum over nonbasic j of A_j * x_j).
-  void compute_basic_values() {
-    std::vector<double> residual = rhs_;
-    for (std::size_t j = 0; j < a_.cols; ++j) {
-      if (vstat_[j] == VarStatus::kBasic) continue;
-      const double xj = nonbasic_value(j);
-      if (xj == 0.0) continue;
-      for (std::int64_t p = a_.col_start[j]; p < a_.col_start[j + 1]; ++p) {
-        residual[static_cast<std::size_t>(a_.row_index[p])] -= a_.value[p] * xj;
-      }
-    }
-    xb_.assign(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double* row = &binv_[i * m_];
-      double acc = 0.0;
-      for (std::size_t r = 0; r < m_; ++r) acc += row[r] * residual[r];
-      xb_[i] = acc;
-    }
-  }
-
-  SolveStatus iterate() {
-    std::size_t degenerate_run = 0;
-    std::vector<double> y(m_);
-    std::vector<double> w(m_);
-    for (; iterations_ < max_iterations_; ++iterations_) {
-      const bool bland = degenerate_run >= options_.degeneracy_limit;
-
-      // y = cB^T B^-1 (skip zero-cost basics: most of them in phase 2).
-      std::fill(y.begin(), y.end(), 0.0);
-      for (std::size_t i = 0; i < m_; ++i) {
-        const double cb = cost_[static_cast<std::size_t>(basis_[i])];
-        if (cb == 0.0) continue;
-        const double* row = &binv_[i * m_];
-        for (std::size_t r = 0; r < m_; ++r) y[r] += cb * row[r];
-      }
-
-      // Pricing: entering column with the most attractive reduced cost.
-      std::ptrdiff_t enter = -1;
-      double best_score = options_.optimality_tol;
-      int enter_dir = 0;
-      for (std::size_t j = 0; j < a_.cols; ++j) {
-        if (vstat_[j] == VarStatus::kBasic) continue;
-        if (lower_[j] == upper_[j]) continue;  // fixed variable
-        double d = cost_[j];
-        for (std::int64_t p = a_.col_start[j]; p < a_.col_start[j + 1]; ++p) {
-          d -= y[static_cast<std::size_t>(a_.row_index[p])] * a_.value[p];
-        }
-        int dir = 0;
-        double score = 0.0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) {
-          dir = +1;
-          score = -d;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol) {
-          dir = -1;
-          score = d;
-        } else {
-          continue;
-        }
-        if (bland) {  // first eligible index
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-          break;
-        }
-        if (score > best_score) {
-          best_score = score;
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-        }
-      }
-      if (enter < 0) return SolveStatus::kOptimal;
-      const auto j_enter = static_cast<std::size_t>(enter);
-      const double sigma = enter_dir;
-
-      // w = B^-1 A_j.
-      std::fill(w.begin(), w.end(), 0.0);
-      for (std::int64_t p = a_.col_start[j_enter]; p < a_.col_start[j_enter + 1];
-           ++p) {
-        const auto r = static_cast<std::size_t>(a_.row_index[p]);
-        const double v = a_.value[p];
-        for (std::size_t i = 0; i < m_; ++i) w[i] += binv_[i * m_ + r] * v;
-      }
-
-      // Ratio test.  Entering moves t >= 0 in direction sigma; basics change
-      // as xB_i -= t * sigma * w_i.
-      const double span = upper_[j_enter] - lower_[j_enter];
-      double t_limit = span;  // bound flip
-      std::ptrdiff_t leave_row = -1;
-      double leave_pivot = 0.0;
-      int leave_to_upper = 0;
-      for (std::size_t i = 0; i < m_; ++i) {
-        const double rate = sigma * w[i];
-        if (std::abs(rate) <= options_.pivot_tol) continue;
-        const auto b = static_cast<std::size_t>(basis_[i]);
-        double ratio;
-        int hits_upper;
-        if (rate > 0.0) {  // basic decreases toward its lower bound
-          if (!std::isfinite(lower_[b])) continue;
-          ratio = (xb_[i] - lower_[b]) / rate;
-          hits_upper = 0;
-        } else {  // basic increases toward its upper bound
-          if (!std::isfinite(upper_[b])) continue;
-          ratio = (xb_[i] - upper_[b]) / rate;
-          hits_upper = 1;
-        }
-        if (ratio < 0.0) ratio = 0.0;  // bound already (numerically) tight
-        if (ratio < t_limit - 1e-12) {
-          t_limit = ratio;
-          leave_row = static_cast<std::ptrdiff_t>(i);
-          leave_pivot = w[i];
-          leave_to_upper = hits_upper;
-        } else if (ratio <= t_limit + 1e-12) {
-          // Tie: prefer the larger pivot for numerical stability, or the
-          // lowest variable index under Bland's anti-cycling rule.
-          const bool prefer =
-              leave_row < 0 ||
-              (bland ? basis_[i] < basis_[static_cast<std::size_t>(leave_row)]
-                     : std::abs(w[i]) > std::abs(leave_pivot));
-          if (prefer) {
-            t_limit = std::min(t_limit, ratio);
-            leave_row = static_cast<std::ptrdiff_t>(i);
-            leave_pivot = w[i];
-            leave_to_upper = hits_upper;
-          }
-        }
-      }
-
-      if (!std::isfinite(t_limit)) return SolveStatus::kUnbounded;
-      degenerate_run = t_limit <= options_.pivot_tol ? degenerate_run + 1 : 0;
-
-      if (leave_row < 0) {
-        // Bound flip: the entering variable traverses its whole range.
-        for (std::size_t i = 0; i < m_; ++i) xb_[i] -= t_limit * sigma * w[i];
-        vstat_[j_enter] = vstat_[j_enter] == VarStatus::kAtLower
-                              ? VarStatus::kAtUpper
-                              : VarStatus::kAtLower;
-        continue;
-      }
-
-      // Pivot: entering becomes basic in leave_row.
-      const auto r = static_cast<std::size_t>(leave_row);
-      const auto b_leave = static_cast<std::size_t>(basis_[r]);
-      const double enter_start = nonbasic_value(j_enter);
-      for (std::size_t i = 0; i < m_; ++i) xb_[i] -= t_limit * sigma * w[i];
-      const double enter_value = enter_start + sigma * t_limit;
-
-      vstat_[b_leave] = leave_to_upper ? VarStatus::kAtUpper : VarStatus::kAtLower;
-      vstat_[j_enter] = VarStatus::kBasic;
-      basis_[r] = static_cast<std::int32_t>(j_enter);
-      xb_[r] = enter_value;
-
-      // Product-form update of B^-1: pivot row r on w_r.
-      const double pivot = leave_pivot;
-      double* row_r = &binv_[r * m_];
-      const double inv_pivot = 1.0 / pivot;
-      for (std::size_t cidx = 0; cidx < m_; ++cidx) row_r[cidx] *= inv_pivot;
-      for (std::size_t i = 0; i < m_; ++i) {
-        if (i == r) continue;
-        const double factor = w[i];
-        if (factor == 0.0) continue;
-        double* row_i = &binv_[i * m_];
-        for (std::size_t cidx = 0; cidx < m_; ++cidx) {
-          row_i[cidx] -= factor * row_r[cidx];
-        }
-      }
-    }
-    return SolveStatus::kIterationLimit;
-  }
-
-  /// y = cB^T B^-1 at the final basis, converted to the problem's own sense
-  /// (duals of a maximize problem are the negated minimize-form duals).
-  [[nodiscard]] std::vector<double> extract_row_duals(Sense sense) const {
-    std::vector<double> y(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double cb = cost_[static_cast<std::size_t>(basis_[i])];
-      if (cb == 0.0) continue;
-      const double* row = &binv_[i * m_];
-      for (std::size_t r = 0; r < m_; ++r) y[r] += cb * row[r];
-    }
-    if (sense == Sense::kMaximize) {
-      for (double& v : y) v = -v;
-    }
-    return y;
-  }
-
-  std::vector<double> binv_;  // row-major m x m
-};
-
-// ---------------------------------------------------------------------------
-// Sparse engine: LU-factorised basis with product-form eta updates, sparse
-// FTRAN/BTRAN, and Devex pricing over incrementally maintained reduced
-// costs.  Per-iteration work scales with factor/column nonzeros, not m².
-// ---------------------------------------------------------------------------
-
-class SparseSolver : private SolverBase {
- public:
-  SparseSolver(const LpProblem& problem, const SimplexOptions& options)
-      : SolverBase(problem, options) {}
-
-  LpSolution run(Sense sense) {
-    LpSolution solution;
-    if (m_ == 0) return bound_only(sense);
-
-    max_iterations_ = options_.max_iterations != 0
-                          ? options_.max_iterations
-                          : 50 * (m_ + a_.cols) + 10000;
-    w_.resize(m_);
-    rho_.resize(m_);
-    scratch_.resize(m_);
-    build_csr();
-
-    bool warm = false;
-    if (options_.basis_warm_start != nullptr) warm = try_warm_start();
-    if (!warm && !start_from_slack_basis()) {
-      solution.status = SolveStatus::kIterationLimit;
-      return solution;
-    }
-
-    if (needs_phase1()) {
-      // try_warm_start only accepts primal-feasible bases, so this is always
-      // the slack basis — the precondition build_artificials needs.
-      build_artificials_sparse();
-      const SolveStatus phase1 = iterate();
-      solution.phase1_iterations = iterations_;
-      solution.refactorisations = refactor_count_;
-      if (phase1 == SolveStatus::kIterationLimit) {
-        solution.status = phase1;
-        return solution;
-      }
-      if (phase1_objective() > 1e-6) {
-        solution.status = SolveStatus::kInfeasible;
-        return solution;
-      }
-      seal_artificials();
-      recompute_duals();  // same basis, new objective
-      gamma_.assign(a_.cols, 1.0);
-    }
-
-    const SolveStatus status = iterate();
-    solution.status = status;
-    solution.iterations = iterations_;
-    solution.refactorisations = refactor_count_;
-    solution.x = extract_structurals();
-    solution.objective = objective_of(solution.x, sense);
-    if (status == SolveStatus::kOptimal) {
-      solution.row_duals = extract_row_duals(sense);
-      solution.basis = export_basis();
-    }
-    return solution;
-  }
-
- private:
-  /// CSR mirror of a_ for pivot-row (BTRAN-side) products; rebuilt whenever
-  /// the column set changes.  Iterating CSC columns in order leaves each row
-  /// sorted by column index — deterministic scatter order.
-  void build_csr() {
-    ar_start_.assign(m_ + 1, 0);
-    for (std::size_t p = 0; p < a_.row_index.size(); ++p) {
-      ++ar_start_[static_cast<std::size_t>(a_.row_index[p]) + 1];
-    }
-    for (std::size_t r = 0; r < m_; ++r) ar_start_[r + 1] += ar_start_[r];
-    ar_col_.resize(a_.row_index.size());
-    ar_val_.resize(a_.row_index.size());
-    std::vector<std::size_t> fill = ar_start_;
-    for (std::size_t c = 0; c < a_.cols; ++c) {
-      for (std::int64_t p = a_.col_start[c]; p < a_.col_start[c + 1]; ++p) {
-        const auto r = static_cast<std::size_t>(a_.row_index[p]);
-        ar_col_[fill[r]] = static_cast<std::int32_t>(c);
-        ar_val_[fill[r]] = a_.value[p];
-        ++fill[r];
-      }
-    }
-  }
-
-  [[nodiscard]] bool factorize() {
-    ++refactor_count_;
-    return lu_.factorize(a_, basis_, options_.pivot_tol);
-  }
-
-  /// Full state rebuild at the current basis: fresh factors, exact basic
-  /// values, exact reduced costs.
-  [[nodiscard]] bool refactorize() {
-    if (!factorize()) return false;
-    compute_basic_values();
-    recompute_duals();
-    return true;
-  }
-
-  [[nodiscard]] bool start_from_slack_basis() {
-    set_slack_basis();
-    gamma_.assign(a_.cols, 1.0);
-    return refactorize();
-  }
-
-  /// Adopts options_.basis_warm_start when it matches the problem shape,
-  /// factorises, and is primal feasible.  Any failure falls back to the
-  /// slack basis (an infeasible warm basis cannot host the artificial
-  /// construction, which needs B = I).
-  [[nodiscard]] bool try_warm_start() {
-    const SimplexBasis& wb = *options_.basis_warm_start;
-    const std::size_t n_total = a_.cols;
-    if (wb.status.size() != n_total) return false;
-    basis_.clear();
-    basis_.reserve(m_);
-    vstat_.assign(n_total, VarStatus::kAtLower);
-    for (std::size_t j = 0; j < n_total; ++j) {
-      vstat_[j] = wb.status[j];
-      if (wb.status[j] == VarStatus::kBasic) {
-        basis_.push_back(static_cast<std::int32_t>(j));
-      } else if (wb.status[j] == VarStatus::kAtUpper && !std::isfinite(upper_[j])) {
-        return false;  // malformed snapshot: resting on an infinite bound
-      }
-    }
-    if (basis_.size() != m_) return false;
-    if (!refactorize()) return false;
-    gamma_.assign(n_total, 1.0);
-    return !needs_phase1();
   }
 
   /// xB = B^-1 (rhs - Σ nonbasic A_j x_j) via sparse FTRAN.
@@ -686,18 +384,6 @@ class SparseSolver : private SolverBase {
     duals_fresh_ = true;
   }
 
-  void build_artificials_sparse() {
-    const auto installed = build_artificials();
-    (void)installed;  // the refactorisation below re-reads the new basis
-    build_csr();
-    gamma_.assign(a_.cols, 1.0);
-    alpha_.assign(a_.cols, 0.0);
-    // The artificial basis is diag(±1): factorisation cannot fail.
-    const bool ok = refactorize();
-    assert(ok && "artificial basis must factorize");
-    (void)ok;
-  }
-
   void clear_alpha() {
     for (const std::int32_t c : alpha_touched_) alpha_[static_cast<std::size_t>(c)] = 0.0;
     alpha_touched_.clear();
@@ -710,7 +396,7 @@ class SparseSolver : private SolverBase {
       if (lu_.eta_count() >= options_.refactor_interval) {
         if (!refactorize()) return SolveStatus::kIterationLimit;
       }
-      const bool bland = degenerate_run >= options_.degeneracy_limit;
+      const bool bland = degenerate_run >= kDegeneracyLimit;
 
       // Devex pricing over the maintained reduced costs: maximise d² / γ.
       std::ptrdiff_t enter = -1;
@@ -721,9 +407,9 @@ class SparseSolver : private SolverBase {
         if (lower_[j] == upper_[j]) continue;  // fixed variable
         const double d = d_[j];
         int dir = 0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -options_.optimality_tol) {
+        if (vstat_[j] == VarStatus::kAtLower && d < -kOptimalityTol) {
           dir = +1;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > options_.optimality_tol) {
+        } else if (vstat_[j] == VarStatus::kAtUpper && d > kOptimalityTol) {
           dir = -1;
         } else {
           continue;
@@ -770,7 +456,7 @@ class SparseSolver : private SolverBase {
         const auto i = static_cast<std::size_t>(pi);
         const double wi = w_.values[i];
         const double rate = sigma * wi;
-        if (std::abs(rate) <= options_.pivot_tol) continue;
+        if (std::abs(rate) <= kPivotTol) continue;
         const auto b = static_cast<std::size_t>(basis_[i]);
         double ratio;
         int hits_upper;
@@ -790,6 +476,8 @@ class SparseSolver : private SolverBase {
           leave_pivot = wi;
           leave_to_upper = hits_upper;
         } else if (ratio <= t_limit + 1e-12) {
+          // Tie: prefer the larger pivot for numerical stability, or the
+          // lowest variable index under Bland's anti-cycling rule.
           const bool prefer =
               leave_row < 0 ||
               (bland ? basis_[i] < basis_[static_cast<std::size_t>(leave_row)]
@@ -812,7 +500,7 @@ class SparseSolver : private SolverBase {
         }
         return SolveStatus::kUnbounded;
       }
-      degenerate_run = t_limit <= options_.pivot_tol ? degenerate_run + 1 : 0;
+      degenerate_run = t_limit <= kPivotTol ? degenerate_run + 1 : 0;
 
       if (leave_row < 0) {
         // Bound flip: basis unchanged, reduced costs stay valid.
@@ -870,7 +558,7 @@ class SparseSolver : private SolverBase {
       basis_[r] = static_cast<std::int32_t>(j_enter);
       xb_[r] = enter_start + sigma * t_limit;
 
-      if (!lu_.push_eta(w_, r, options_.pivot_tol)) {
+      if (!lu_.push_eta(w_, r, kPivotTol)) {
         // Spike pivot below tolerance (the ratio test guards against this;
         // belt and braces): rebuild everything at the updated basis.
         clear_alpha();
@@ -929,6 +617,18 @@ class SparseSolver : private SolverBase {
     return y;
   }
 
+  SimplexOptions options_;
+  std::size_t m_;
+  std::size_t n_struct_;
+  CscMatrix a_;
+  std::vector<double> lower_, upper_, cost_, saved_cost_;
+  std::vector<double> rhs_;
+  std::vector<std::int32_t> basis_;
+  std::vector<VarStatus> vstat_;
+  std::vector<double> xb_;
+  std::size_t iterations_ = 0;
+  std::size_t max_iterations_ = 0;
+
   BasisLu lu_;
   std::vector<std::size_t> ar_start_;  // CSR mirror of a_
   std::vector<std::int32_t> ar_col_;
@@ -946,14 +646,8 @@ class SparseSolver : private SolverBase {
 
 LpSolution solve(const LpProblem& problem, SimplexOptions options) {
   const std::uint64_t t0 = obs::clock_ticks();
-  LpSolution solution;
-  if (options.engine == SimplexEngine::kDense) {
-    DenseSolver solver(problem, options);
-    solution = solver.run(problem.sense());
-  } else {
-    SparseSolver solver(problem, options);
-    solution = solver.run(problem.sense());
-  }
+  SparseSolver solver(problem, options);
+  LpSolution solution = solver.run(problem.sense());
   LpMetrics& metrics = LpMetrics::get();
   metrics.latency_ns.record(obs::ticks_to_ns(obs::clock_ticks() - t0));
   metrics.iterations.add(solution.iterations);

@@ -2,38 +2,30 @@
 /// Bounded-variable two-phase revised simplex.
 ///
 /// This solver replaces the commercial package (Lingo 9.0) the paper used for
-/// its upper-bound computation (§7).  Two engines share one API:
+/// its upper-bound computation (§7).  It keeps CSC/CSR constraint storage, a
+/// Markowitz-pivot LU factorisation of the basis (sparse_lu.hpp) with
+/// product-form eta updates, refactorisation every `refactor_interval` pivots
+/// or when the FTRAN/BTRAN pivot cross-check drifts, sparse FTRAN/BTRAN
+/// exploiting rhs sparsity, and Devex pricing with incrementally maintained
+/// reduced costs (recomputed exactly at every refactorisation; optimality is
+/// only declared from exact ones).  Per-iteration work scales with the factor
+/// and column nonzeros instead of m², which is what lets the upper-bound LP
+/// run at fleet scale (hundreds of machines, thousands of strings).  An
+/// independently implemented dense engine lives in tests/lp as the
+/// cross-check oracle.
 ///
-/// * **Sparse (default):** CSC/CSR constraint storage, a Markowitz-pivot LU
-///   factorisation of the basis (sparse_lu.hpp) with product-form eta
-///   updates, refactorisation every `refactor_interval` pivots or when the
-///   FTRAN/BTRAN pivot cross-check drifts, sparse FTRAN/BTRAN exploiting
-///   rhs sparsity, and Devex pricing with incrementally maintained reduced
-///   costs (recomputed exactly at every refactorisation; optimality is only
-///   declared from exact ones).  Per-iteration work scales with the factor
-///   and column nonzeros instead of m², which is what lets the upper-bound
-///   LP run at fleet scale (hundreds of machines, thousands of strings).
-/// * **Dense (retained):** explicit row-major basis inverse with
-///   product-form updates and Dantzig pricing — O(m²) memory and work.  Kept
-///   as the independently-implemented cross-check oracle for the sparse
-///   engine (tests/lp/sparse_dense_property_test.cpp) and as the benchmark
-///   baseline; select with SimplexOptions::engine.
-///
-/// Both engines share the computational form: every row r becomes
-/// a_r^T x + s_r = rhs_r with a slack bounded by the row relation ([0,inf)
-/// for <=, (-inf,0] for >=, [0,0] for =).  The slack basis is the starting
-/// point; when it is bound-infeasible, a phase-1 LP with artificial columns
-/// drives the infeasibility to zero first.  Degenerate runs switch pricing
-/// to Bland's rule, guaranteeing termination.  Duals/shadow prices are exact
-/// at optimality.  Both engines are deterministic: a fixed input yields a
-/// bit-identical solution path (index-ordered scans, deterministic
-/// tie-breaks, no randomisation).
+/// Computational form: every row r becomes a_r^T x + s_r = rhs_r with a slack
+/// bounded by the row relation ([0,inf) for <=, (-inf,0] for >=, [0,0] for
+/// =).  The slack basis is the starting point; when it is bound-infeasible, a
+/// phase-1 LP with artificial columns drives the infeasibility to zero first.
+/// Degenerate runs switch pricing to Bland's rule, guaranteeing termination.
+/// Duals/shadow prices are exact at optimality.  The solver is deterministic:
+/// a fixed input yields a bit-identical solution path (index-ordered scans,
+/// deterministic tie-breaks, no randomisation).
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -49,50 +41,14 @@ enum class SolveStatus {
 
 [[nodiscard]] const char* to_string(SolveStatus status) noexcept;
 
-enum class SimplexEngine : std::uint8_t {
-  kSparse,  ///< LU + eta updates + Devex (default)
-  kDense,   ///< explicit basis inverse (cross-check oracle / baseline)
-};
-
-/// Per-variable basis role in the computational form's column order:
-/// structural variables first, then one slack per row.
-enum class VarState : std::uint8_t { kBasic, kAtLower, kAtUpper };
-
-/// A restartable basis snapshot: one VarState per computational-form column
-/// (num_variables + num_rows entries, exactly num_rows of them kBasic).
-/// Returned in LpSolution::basis at optimality and accepted back through
-/// SimplexOptions::basis_warm_start.
-struct SimplexBasis {
-  std::vector<VarState> status;
-
-  [[nodiscard]] bool empty() const noexcept { return status.empty(); }
-};
-
 struct SimplexOptions {
   /// Hard cap across both phases; 0 means 50*(m+n) adaptive.
   std::size_t max_iterations = 0;
-  /// Dual feasibility (reduced cost) tolerance.
-  double optimality_tol = 1e-7;
-  /// Smallest acceptable pivot magnitude.
-  double pivot_tol = 1e-9;
-  /// Primal feasibility tolerance (bound violations).
-  double feasibility_tol = 1e-7;
-  /// Consecutive degenerate iterations before switching to Bland's rule.
-  std::size_t degeneracy_limit = 200;
-  /// Engine selection; kSparse unless a dense cross-check is wanted.
-  SimplexEngine engine = SimplexEngine::kSparse;
-  /// Sparse engine: eta-file length that forces a refactorisation.
+  /// Eta-file length that forces a refactorisation.
   std::size_t refactor_interval = 64;
-  /// Sparse engine: relative FTRAN-vs-BTRAN pivot disagreement that forces
-  /// an early refactorisation (and a retry of the iteration).
+  /// Relative FTRAN-vs-BTRAN pivot disagreement that forces an early
+  /// refactorisation (and a retry of the iteration).
   double drift_tol = 1e-7;
-  /// Optional starting basis for the sparse engine (ignored by the dense
-  /// one).  Must match the problem's shape and be primal feasible after
-  /// factorisation; otherwise the solver silently falls back to the slack
-  /// basis, so a stale snapshot can never produce a wrong answer — re-solves
-  /// of a perturbed problem (the what-if service path) just lose the speedup.
-  /// The pointed-to basis must outlive the solve() call.
-  const SimplexBasis* basis_warm_start = nullptr;
 };
 
 struct LpSolution {
@@ -107,12 +63,8 @@ struct LpSolution {
   std::vector<double> row_duals;
   std::size_t iterations = 0;
   std::size_t phase1_iterations = 0;
-  /// Sparse engine: number of basis (re)factorisations performed.
+  /// Number of basis (re)factorisations performed.
   std::size_t refactorisations = 0;
-  /// Final basis at kOptimal (empty otherwise, and empty when a basic
-  /// artificial survives a degenerate phase 1); feed back through
-  /// SimplexOptions::basis_warm_start to hot-start a related solve.
-  SimplexBasis basis;
 };
 
 /// Solves \p problem; deterministic for a fixed input.

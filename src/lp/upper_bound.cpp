@@ -248,10 +248,11 @@ UpperBoundResult extract_result(const LpProblem& problem,
   return result;
 }
 
-UpperBoundResult run(const SystemModel& model, bool complete,
-                     const UpperBoundOptions& options) {
-  const LpProblem problem =
-      build_upper_bound_lp(model, complete, options.objective);
+/// Build -> solve -> extract: the one path every upper-bound entry point
+/// takes.  \p problem is cleared and reassembled, keeping its capacity.
+UpperBoundResult solve_upper_bound(LpProblem& problem, const SystemModel& model,
+                                   bool complete, const UpperBoundOptions& options) {
+  build_upper_bound_lp_into(problem, model, complete, options.objective);
   const LpSolution solution = solve(problem, options.simplex);
   return extract_result(problem, solution, model, complete);
 }
@@ -260,34 +261,22 @@ UpperBoundResult run(const SystemModel& model, bool complete,
 
 UpperBoundResult upper_bound_worth(const SystemModel& model,
                                    UpperBoundOptions options) {
-  return run(model, /*complete=*/false, options);
+  LpProblem problem(Sense::kMaximize);
+  return solve_upper_bound(problem, model, /*complete=*/false, options);
 }
 
 UpperBoundResult upper_bound_slackness(const SystemModel& model,
                                        UpperBoundOptions options) {
-  return run(model, /*complete=*/true, options);
-}
-
-UpperBoundResult UpperBoundSolver::run_reusable(const SystemModel& model,
-                                                bool complete) {
-  build_upper_bound_lp_into(problem_, model, complete, options_.objective);
-  UpperBoundOptions opts = options_;
-  if (warm_start_ && !last_basis_.empty()) {
-    opts.simplex.basis_warm_start = &last_basis_;
-  }
-  const LpSolution solution = solve(problem_, opts.simplex);
-  if (solution.status == SolveStatus::kOptimal && !solution.basis.empty()) {
-    last_basis_ = solution.basis;
-  }
-  return extract_result(problem_, solution, model, complete);
+  LpProblem problem(Sense::kMaximize);
+  return solve_upper_bound(problem, model, /*complete=*/true, options);
 }
 
 UpperBoundResult UpperBoundSolver::worth(const SystemModel& model) {
-  return run_reusable(model, /*complete=*/false);
+  return solve_upper_bound(problem_, model, /*complete=*/false, options_);
 }
 
 UpperBoundResult UpperBoundSolver::slackness(const SystemModel& model) {
-  return run_reusable(model, /*complete=*/true);
+  return solve_upper_bound(problem_, model, /*complete=*/true, options_);
 }
 
 }  // namespace tsce::lp

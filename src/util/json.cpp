@@ -78,9 +78,17 @@ class Parser {
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      // A throw abandons the whole parse, so only the normal return unwinds.
+      if (++depth_ > Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+      }
+      Json value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -244,6 +252,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects around pos_
 };
 
 void write_escaped(std::string& out, const std::string& s) {

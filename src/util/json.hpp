@@ -78,7 +78,13 @@ class Json {
   /// Appends an array element.
   void push_back(Json value);
 
-  /// Parses a complete JSON document (trailing whitespace allowed).
+  /// Deepest array/object nesting parse() accepts.  The documents the repo
+  /// writes nest about ten levels; the cap keeps a hostile input from
+  /// overflowing the stack of the recursive-descent parser.
+  static constexpr std::size_t kMaxDepth = 512;
+
+  /// Parses a complete JSON document (trailing whitespace allowed).  Throws
+  /// JsonParseError on malformed input or nesting deeper than kMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
   /// Serializes; \p indent < 0 is compact, otherwise pretty-printed with that

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
 
 namespace tsce::util {
 namespace {
@@ -64,6 +65,43 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), JsonParseError);
   EXPECT_THROW((void)Json::parse("1 2"), JsonParseError);
   EXPECT_THROW((void)Json::parse("nan"), JsonParseError);
+}
+
+TEST(Json, DeepNestingIsAnErrorNotAStackOverflow) {
+  // 200,000 open brackets overflow an 8 MB stack in an uncapped
+  // recursive-descent parser; the cap turns them into an error at the first
+  // bracket past kMaxDepth.
+  for (const char* open : {"[", "{\"k\":"}) {
+    std::string text;
+    for (int i = 0; i < 200000; ++i) text += open;
+    try {
+      (void)Json::parse(text);
+      FAIL() << "expected JsonParseError";
+    } catch (const JsonParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 512 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Json, NestingUpToTheCapParses) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  Json v = Json::parse(nested(Json::kMaxDepth));
+  std::size_t depth = 1;
+  while (!v.as_array().empty()) {
+    v = Json(v.as_array().front());
+    ++depth;
+  }
+  EXPECT_EQ(depth, Json::kMaxDepth);
+  EXPECT_THROW((void)Json::parse(nested(Json::kMaxDepth + 1)), JsonParseError);
+  // Depth is nesting, not a count of containers: siblings do not add up.
+  std::string wide = "[";
+  for (int i = 0; i < 2000; ++i) wide += i == 0 ? "[[]]" : ",[[]]";
+  wide += "]";
+  EXPECT_EQ(Json::parse(wide).as_array().size(), 2000u);
 }
 
 TEST(Json, ParseErrorCarriesOffset) {
