@@ -1,6 +1,7 @@
 #include "lp/simplex.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -54,8 +55,9 @@ struct LpMetrics {
 };
 
 /// LU-factorised basis with product-form eta updates, sparse FTRAN/BTRAN,
-/// and Devex pricing over incrementally maintained reduced costs.
-/// Per-iteration work scales with factor/column nonzeros, not m².
+/// and Devex pricing over incrementally maintained reduced costs and a
+/// bitmap of the columns that can enter.  Per-iteration work scales with
+/// factor/column nonzeros and the candidate count, not m² or n.
 ///
 /// Computational form: structural columns, then one slack per row, then
 /// (during phase 1) artificials.
@@ -117,33 +119,28 @@ class SparseSolver {
     scratch_.resize(m_);
     build_csr();
 
-    if (!start_from_slack_basis()) {
-      solution.status = SolveStatus::kIterationLimit;
+    // Every exit reports the pivots and factorisations spent so far.
+    const auto stop = [&](SolveStatus status) -> LpSolution& {
+      solution.status = status;
+      solution.iterations = iterations_;
+      solution.refactorisations = refactor_count_;
       return solution;
-    }
+    };
+    if (!start_from_slack_basis()) return stop(SolveStatus::kIterationLimit);
 
     if (needs_phase1()) {
       build_artificials();
       const SolveStatus phase1 = iterate();
       solution.phase1_iterations = iterations_;
-      solution.refactorisations = refactor_count_;
-      if (phase1 == SolveStatus::kIterationLimit) {
-        solution.status = phase1;
-        return solution;
-      }
-      if (phase1_objective() > 1e-6) {
-        solution.status = SolveStatus::kInfeasible;
-        return solution;
-      }
+      if (phase1 == SolveStatus::kIterationLimit) return stop(phase1);
+      if (phase1_objective() > 1e-6) return stop(SolveStatus::kInfeasible);
       seal_artificials();
       recompute_duals();  // same basis, new objective
       gamma_.assign(a_.cols, 1.0);
     }
 
     const SolveStatus status = iterate();
-    solution.status = status;
-    solution.iterations = iterations_;
-    solution.refactorisations = refactor_count_;
+    stop(status);
     solution.x = extract_structurals();
     solution.objective = objective_of(solution.x, sense);
     if (status == SolveStatus::kOptimal) {
@@ -363,7 +360,56 @@ class SparseSolver {
     scratch_.clear();
   }
 
-  /// Exact reduced costs d_j = c_j - y^T a_j with y = B^-T c_B.
+  /// True iff column j may enter the basis: nonbasic, not fixed, and its
+  /// reduced cost improves the objective beyond the optimality tolerance.
+  [[nodiscard]] bool can_enter(std::size_t j) const noexcept {
+    if (vstat_[j] == VarStatus::kBasic || lower_[j] == upper_[j]) return false;
+    return vstat_[j] == VarStatus::kAtLower ? d_[j] < -kOptimalityTol
+                                            : d_[j] > kOptimalityTol;
+  }
+
+  /// Re-derives column j's candidate bit after its d_ or vstat_ changed.
+  void update_candidate(std::size_t j) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (j % 64);
+    if (can_enter(j)) {
+      candidates_[j / 64] |= bit;
+    } else {
+      candidates_[j / 64] &= ~bit;
+    }
+  }
+
+  /// Lowest-index candidate (Bland's rule), or -1.
+  [[nodiscard]] std::ptrdiff_t first_candidate() const noexcept {
+    for (std::size_t w = 0; w < candidates_.size(); ++w) {
+      if (candidates_[w] != 0) {
+        return static_cast<std::ptrdiff_t>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(candidates_[w])));
+      }
+    }
+    return -1;
+  }
+
+  /// Devex: the candidate maximising d² / γ, or -1.  Candidates are visited
+  /// in ascending index and only a strictly greater score wins, so the
+  /// choice is the one a scan over every column would make.
+  [[nodiscard]] std::ptrdiff_t devex_candidate() const noexcept {
+    std::ptrdiff_t enter = -1;
+    double best_score = 0.0;
+    for (std::size_t w = 0; w < candidates_.size(); ++w) {
+      for (std::uint64_t bits = candidates_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t j = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        const double score = d_[j] * d_[j] / gamma_[j];
+        if (score > best_score) {
+          best_score = score;
+          enter = static_cast<std::ptrdiff_t>(j);
+        }
+      }
+    }
+    return enter;
+  }
+
+  /// Exact reduced costs d_j = c_j - y^T a_j with y = B^-T c_B, and the
+  /// candidate bitmap rebuilt from them.
   void recompute_duals() {
     scratch_.clear();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -372,6 +418,7 @@ class SparseSolver {
     }
     lu_.btran(scratch_);
     d_.assign(a_.cols, 0.0);
+    candidates_.assign((a_.cols + 63) / 64, 0);
     for (std::size_t j = 0; j < a_.cols; ++j) {
       if (vstat_[j] == VarStatus::kBasic) continue;
       double d = cost_[j];
@@ -379,6 +426,7 @@ class SparseSolver {
         d -= scratch_.values[static_cast<std::size_t>(a_.row_index[p])] * a_.value[p];
       }
       d_[j] = d;
+      update_candidate(j);
     }
     scratch_.clear();
     duals_fresh_ = true;
@@ -398,34 +446,7 @@ class SparseSolver {
       }
       const bool bland = degenerate_run >= kDegeneracyLimit;
 
-      // Devex pricing over the maintained reduced costs: maximise d² / γ.
-      std::ptrdiff_t enter = -1;
-      double best_score = 0.0;
-      int enter_dir = 0;
-      for (std::size_t j = 0; j < a_.cols; ++j) {
-        if (vstat_[j] == VarStatus::kBasic) continue;
-        if (lower_[j] == upper_[j]) continue;  // fixed variable
-        const double d = d_[j];
-        int dir = 0;
-        if (vstat_[j] == VarStatus::kAtLower && d < -kOptimalityTol) {
-          dir = +1;
-        } else if (vstat_[j] == VarStatus::kAtUpper && d > kOptimalityTol) {
-          dir = -1;
-        } else {
-          continue;
-        }
-        if (bland) {  // first eligible index
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-          break;
-        }
-        const double score = d * d / gamma_[j];
-        if (score > best_score) {
-          best_score = score;
-          enter = static_cast<std::ptrdiff_t>(j);
-          enter_dir = dir;
-        }
-      }
+      const std::ptrdiff_t enter = bland ? first_candidate() : devex_candidate();
       if (enter < 0) {
         // Incremental reduced costs may only declare optimality after an
         // exact reprice at the current basis.
@@ -436,7 +457,7 @@ class SparseSolver {
         return SolveStatus::kOptimal;
       }
       const auto j_enter = static_cast<std::size_t>(enter);
-      const double sigma = enter_dir;
+      const double sigma = vstat_[j_enter] == VarStatus::kAtLower ? 1.0 : -1.0;
 
       // FTRAN: w = B^-1 A_j, sparse in and out.
       w_.clear();
@@ -511,6 +532,7 @@ class SparseSolver {
         vstat_[j_enter] = vstat_[j_enter] == VarStatus::kAtLower
                               ? VarStatus::kAtUpper
                               : VarStatus::kAtLower;
+        update_candidate(j_enter);
         ++iterations_;
         continue;
       }
@@ -582,6 +604,7 @@ class SparseSolver {
         if (av == 0.0) continue;
         if (vstat_[c] == VarStatus::kBasic) continue;
         d_[c] -= ratio_d * av;
+        update_candidate(c);
         const double cand = gamma_q * (av * av) / wr2;
         if (cand > gamma_[c]) gamma_[c] = cand;
         if (gamma_[c] > gamma_max) gamma_max = gamma_[c];
@@ -591,6 +614,8 @@ class SparseSolver {
       gamma_[b_leave] = std::max(gamma_q / wr2, 1.0);
       d_[j_enter] = 0.0;
       gamma_[j_enter] = 1.0;
+      update_candidate(b_leave);
+      update_candidate(j_enter);
       if (gamma_max > 1e10) gamma_.assign(a_.cols, 1.0);  // reset reference
       duals_fresh_ = false;
       ++iterations_;
@@ -635,6 +660,7 @@ class SparseSolver {
   std::vector<double> ar_val_;
   std::vector<double> d_;      // reduced costs (0 for basics)
   std::vector<double> gamma_;  // Devex reference weights
+  std::vector<std::uint64_t> candidates_;  // bit j set iff can_enter(j)
   std::vector<double> alpha_;  // pivot-row scatter scratch
   std::vector<std::int32_t> alpha_touched_;
   IndexedVector w_, rho_, scratch_;

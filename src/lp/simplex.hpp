@@ -8,7 +8,8 @@
 /// or when the FTRAN/BTRAN pivot cross-check drifts, sparse FTRAN/BTRAN
 /// exploiting rhs sparsity, and Devex pricing with incrementally maintained
 /// reduced costs (recomputed exactly at every refactorisation; optimality is
-/// only declared from exact ones).  Per-iteration work scales with the factor
+/// only declared from exact ones) over a maintained bitmap of the columns
+/// that can enter.  Per-iteration work scales with the factor
 /// and column nonzeros instead of m², which is what lets the upper-bound LP
 /// run at fleet scale (hundreds of machines, thousands of strings).  An
 /// independently implemented dense engine lives in tests/lp as the

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <numeric>
 
 namespace tsce::lp {
 namespace {
@@ -12,11 +13,6 @@ namespace {
 /// classic 0.1 compromise keeps growth bounded while leaving the pivot
 /// search free to chase sparsity.
 constexpr double kMarkowitzThreshold = 0.1;
-
-struct ActiveEntry {
-  std::int32_t row;  ///< -1 marks a cancelled (tombstoned) entry
-  double value;
-};
 
 }  // namespace
 
@@ -45,33 +41,58 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
   // Active submatrix: column-major entry lists (fill-in appended, exact
   // cancellations tombstoned) plus a row -> column-position pattern that may
   // carry stale or duplicate columns — every consumer re-validates against
-  // the column store, and the per-step `gathered` marks dedupe.
-  std::vector<std::vector<ActiveEntry>> col(m_);
-  std::vector<std::vector<std::int32_t>> row_cols(m_);
-  std::vector<std::int32_t> col_count(m_, 0), row_count(m_, 0);
-  std::vector<std::uint8_t> row_active(m_, 1), col_active(m_, 1);
-  std::vector<std::uint8_t> gathered(m_, 0);
+  // the column store, and the per-step `gathered` marks dedupe.  The lists
+  // are packed in member pools that are cleared, not freed, so a
+  // refactorisation reuses the previous one's storage.
+  auto& col = active_col_;
+  auto& row_cols = active_row_cols_;
+  auto& col_count = active_col_count_;
+  auto& row_count = active_row_count_;
+  auto& row_active = row_active_;
+  auto& col_active = col_active_;
+  auto& gathered = gathered_;
+  col.reset(m_);
+  row_cols.reset(m_);
+  col_count.resize(m_);  // filled in below
+  row_count.assign(m_, 0);
+  row_active.assign(m_, 1);
+  col_active.assign(m_, 1);
+  gathered.assign(m_, 0);
+  // Columns the Markowitz search may still pick, ascending; each search
+  // compacts out the ones retired since the last.
+  auto& markowitz_cols = markowitz_cols_;
+  markowitz_cols.resize(m_);
+  std::iota(markowitz_cols.begin(), markowitz_cols.end(), 0);
 
-  for (std::int32_t p = 0; p < m; ++p) {
-    const auto j = static_cast<std::size_t>(basis[static_cast<std::size_t>(p)]);
-    assert(j < a.cols);
-    const auto begin = static_cast<std::size_t>(a.col_start[j]);
-    const auto end = static_cast<std::size_t>(a.col_start[j + 1]);
-    col[static_cast<std::size_t>(p)].reserve(end - begin + 4);
-    for (std::size_t idx = begin; idx < end; ++idx) {
-      const std::int32_t r = a.row_index[idx];
-      col[static_cast<std::size_t>(p)].push_back({r, a.value[idx]});
-      row_cols[static_cast<std::size_t>(r)].push_back(p);
+  for (const std::int32_t j : basis) {
+    assert(static_cast<std::size_t>(j) < a.cols);
+    for (auto idx = a.col_start[static_cast<std::size_t>(j)];
+         idx < a.col_start[static_cast<std::size_t>(j) + 1]; ++idx) {
+      ++row_count[static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(idx)])];
     }
-    col_count[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(end - begin);
   }
   for (std::size_t i = 0; i < m_; ++i) {
-    row_count[i] = static_cast<std::int32_t>(row_cols[i].size());
+    row_cols.open(i, static_cast<std::size_t>(row_count[i]) + 4);
+  }
+  for (std::int32_t p = 0; p < m; ++p) {
+    const auto j = static_cast<std::size_t>(basis[static_cast<std::size_t>(p)]);
+    const auto begin = static_cast<std::size_t>(a.col_start[j]);
+    const auto end = static_cast<std::size_t>(a.col_start[j + 1]);
+    col.open(static_cast<std::size_t>(p), end - begin + 4);
+    for (std::size_t idx = begin; idx < end; ++idx) {
+      const std::int32_t r = a.row_index[idx];
+      col.push(static_cast<std::size_t>(p), {r, a.value[idx]});
+      row_cols.push(static_cast<std::size_t>(r), p);
+    }
+    col_count[static_cast<std::size_t>(p)] = static_cast<std::int32_t>(end - begin);
   }
 
   // Singleton queues, FIFO with lazy validation: stale entries (count moved
   // on, or already pivoted) are skipped on pop.
-  std::vector<std::int32_t> col_single, row_single;
+  auto& col_single = col_single_;
+  auto& row_single = row_single_;
+  col_single.clear();
+  row_single.clear();
   std::size_t col_single_head = 0, row_single_head = 0;
   for (std::int32_t p = 0; p < m; ++p) {
     if (col_count[static_cast<std::size_t>(p)] == 1) col_single.push_back(p);
@@ -91,8 +112,8 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
     return 0.0;
   };
 
-  std::vector<std::pair<std::int32_t, double>> pivot_row;  // (col position, value)
-  std::vector<std::pair<std::int32_t, double>> pivot_col;  // (row, value)
+  auto& pivot_row = pivot_row_;  // (col position, value)
+  auto& pivot_col = pivot_col_;  // (row, value)
 
   for (std::size_t k = 0; k < m_; ++k) {
     std::int32_t pi = -1, pj = -1;
@@ -143,8 +164,11 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
     // ascending-index tie rule, so the choice stays deterministic.
     if (pj < 0) {
       std::size_t best_cost = static_cast<std::size_t>(-1);
-      for (std::int32_t p = 0; p < m; ++p) {
+      std::size_t kept = 0;
+      for (std::size_t idx = 0; idx < markowitz_cols.size(); ++idx) {
+        const std::int32_t p = markowitz_cols[idx];
         if (!col_active[static_cast<std::size_t>(p)]) continue;
+        markowitz_cols[kept++] = p;
         const auto cnt = static_cast<std::size_t>(col_count[static_cast<std::size_t>(p)]);
         if (pj >= 0 && cnt - 1 >= best_cost) continue;
         double colmax = 0.0;
@@ -168,6 +192,7 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
           }
         }
       }
+      markowitz_cols.resize(kept);
       if (pj < 0) return false;  // no admissible pivot: singular
     }
 
@@ -205,9 +230,8 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
     for (const auto& [r, vr] : pivot_col) {
       const double mult = vr / pd;
       for (const auto& [c, vc] : pivot_row) {
-        auto& column = col[static_cast<std::size_t>(c)];
         ActiveEntry* hit = nullptr;
-        for (ActiveEntry& e : column) {
+        for (ActiveEntry& e : col[static_cast<std::size_t>(c)]) {
           if (e.row == r) {
             hit = &e;
             break;
@@ -221,8 +245,8 @@ bool BasisLu::factorize(const CscMatrix& a, const std::vector<std::int32_t>& bas
             if (--row_count[static_cast<std::size_t>(r)] == 1) row_single.push_back(r);
           }
         } else {
-          column.push_back({r, -mult * vc});
-          row_cols[static_cast<std::size_t>(r)].push_back(c);
+          col.push(static_cast<std::size_t>(c), {r, -mult * vc});
+          row_cols.push(static_cast<std::size_t>(r), c);
           ++col_count[static_cast<std::size_t>(c)];
           ++row_count[static_cast<std::size_t>(r)];
         }

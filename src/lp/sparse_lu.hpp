@@ -26,8 +26,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -109,6 +112,42 @@ class BasisLu {
     std::int32_t pivot_pos;
     double pivot_value;
   };
+  struct ActiveEntry {
+    std::int32_t row;  ///< -1 marks a cancelled (tombstoned) entry
+    double value;
+  };
+  /// n lists packed as slices of one pool, so that a refactorisation reuses
+  /// a single allocation instead of n small ones.  Appending to a full slice
+  /// moves it to the pool's end with twice the room; the abandoned slice is
+  /// reclaimed by the next reset().  Each list keeps its append order.
+  template <class T>
+  struct PackedLists {
+    std::vector<T> pool;
+    std::vector<std::size_t> start, size, room;
+
+    void reset(std::size_t n) {
+      pool.clear();
+      start.assign(n, 0);
+      size.assign(n, 0);
+      room.assign(n, 0);
+    }
+    /// Gives the (empty) list i a fresh slice with room for \p capacity.
+    void open(std::size_t i, std::size_t capacity) {
+      start[i] = pool.size();
+      room[i] = capacity;
+      pool.resize(pool.size() + capacity);
+    }
+    void push(std::size_t i, const T& v) {
+      if (size[i] == room[i]) {
+        const std::size_t from = start[i];
+        open(i, std::max<std::size_t>(2 * room[i], 4));
+        std::copy_n(pool.begin() + static_cast<std::ptrdiff_t>(from), size[i],
+                    pool.begin() + static_cast<std::ptrdiff_t>(start[i]));
+      }
+      pool[start[i] + size[i]++] = v;
+    }
+    std::span<T> operator[](std::size_t i) { return {pool.data() + start[i], size[i]}; }
+  };
 
   std::size_t m_ = 0;
   // Elimination-ordered factors: step k pivoted (prow_[k], pcol_[k]) with
@@ -128,6 +167,16 @@ class BasisLu {
   mutable std::vector<double> work_;
   mutable std::vector<std::int32_t> touched_;
   mutable std::vector<std::uint8_t> mark_;
+  // factorize() workspace: the active submatrix (per-position entry lists,
+  // row -> position patterns, counts, flags), the singleton queues and the
+  // Markowitz candidate list.  Kept across calls so each refactorisation
+  // reuses the storage of the last; only factorize() reads it.
+  PackedLists<ActiveEntry> active_col_;
+  PackedLists<std::int32_t> active_row_cols_;
+  std::vector<std::int32_t> active_col_count_, active_row_count_;
+  std::vector<std::uint8_t> row_active_, col_active_, gathered_;
+  std::vector<std::int32_t> col_single_, row_single_, markowitz_cols_;
+  std::vector<std::pair<std::int32_t, double>> pivot_row_, pivot_col_;
 };
 
 }  // namespace tsce::lp

@@ -107,6 +107,38 @@ TEST(Simplex, DetectsInfeasibility) {
   EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
 }
 
+/// x + y >= 1.5 and x + y <= 1 over x, y in [0, 1]: phase 1 pivots once
+/// before it proves infeasibility.
+LpProblem infeasible_after_one_pivot() {
+  LpProblem p(Sense::kMaximize);
+  const auto x = p.add_variable(0.0, 1.0, 1.0);
+  const auto y = p.add_variable(0.0, 1.0, 1.0);
+  const auto ge = p.add_row(Relation::kGreaterEqual, 1.5);
+  p.add_coefficient(ge, x, 1.0);
+  p.add_coefficient(ge, y, 1.0);
+  const auto le = p.add_row(Relation::kLessEqual, 1.0);
+  p.add_coefficient(le, x, 1.0);
+  p.add_coefficient(le, y, 1.0);
+  return p;
+}
+
+TEST(Simplex, InfeasibleSolveCountsItsPhase1Pivots) {
+  const auto sol = solve(infeasible_after_one_pivot());
+  ASSERT_EQ(sol.status, SolveStatus::kInfeasible);
+  EXPECT_GT(sol.phase1_iterations, 0u);
+  EXPECT_EQ(sol.iterations, sol.phase1_iterations);
+  EXPECT_GT(sol.refactorisations, 0u);
+}
+
+TEST(Simplex, Phase1IterationLimitCountsItsPivots) {
+  SimplexOptions options;
+  options.max_iterations = 1;
+  const auto sol = solve(infeasible_after_one_pivot(), options);
+  ASSERT_EQ(sol.status, SolveStatus::kIterationLimit);
+  EXPECT_EQ(sol.phase1_iterations, 1u);
+  EXPECT_EQ(sol.iterations, 1u);
+}
+
 TEST(Simplex, DetectsUnboundedWithRow) {
   // max x s.t. y <= 1; x has no upper bound.
   LpProblem p(Sense::kMaximize);

@@ -240,6 +240,91 @@ TEST(BasisLu, EtaUpdateMatchesRefactorisation) {
   }
 }
 
+/// m x m diagonally dominated matrix with \p per_col random off-diagonal
+/// entries per column: nonsingular, and with few enough singletons that the
+/// Markowitz search does most of the elimination.
+CscMatrix random_square(util::Rng& rng, std::size_t m, std::size_t per_col) {
+  std::vector<Triplet> t;
+  for (std::size_t c = 0; c < m; ++c) {
+    t.push_back({static_cast<std::int32_t>(c), static_cast<std::int32_t>(c),
+                 rng.uniform(4.0, 8.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0)});
+    for (std::size_t e = 0; e < per_col; ++e) {
+      const auto r = static_cast<std::int32_t>(rng.bounded(m));
+      if (r != static_cast<std::int32_t>(c)) {
+        t.push_back({r, static_cast<std::int32_t>(c), rng.uniform(-1.0, 1.0)});
+      }
+    }
+  }
+  return CscMatrix::from_triplets(m, m, t);
+}
+
+std::vector<std::int32_t> all_columns(std::size_t m) {
+  std::vector<std::int32_t> basis(m);
+  for (std::size_t i = 0; i < m; ++i) basis[i] = static_cast<std::int32_t>(i);
+  return basis;
+}
+
+/// FTRAN and BTRAN of fixed right-hand sides give bit-identical values and
+/// patterns through \p reused and \p fresh.
+void expect_identical_solves(const BasisLu& reused, const BasisLu& fresh) {
+  const std::size_t m = fresh.dimension();
+  ASSERT_EQ(reused.dimension(), m);
+  EXPECT_EQ(reused.factor_nonzeros(), fresh.factor_nonzeros());
+  std::vector<std::vector<double>> rhs(2, std::vector<double>(m, 0.0));
+  rhs[0][m / 2] = 1.0;
+  for (std::size_t i = 0; i < m; i += 3) rhs[1][i] = (i % 2 == 0 ? 0.37 : -1.9) * (1.0 + i);
+  for (const auto& b : rhs) {
+    IndexedVector x, y;
+    load(x, b);
+    load(y, b);
+    reused.ftran(x);
+    fresh.ftran(y);
+    EXPECT_EQ(x.values, y.values);
+    EXPECT_EQ(x.pattern, y.pattern);
+    load(x, b);
+    load(y, b);
+    reused.btran(x);
+    fresh.btran(y);
+    EXPECT_EQ(x.values, y.values);
+    EXPECT_EQ(x.pattern, y.pattern);
+  }
+}
+
+TEST(BasisLu, ReusedWorkspaceMatchesFreshFactor) {
+  // One BasisLu refactorises a large basis, a smaller one, then a different
+  // one of the first size; each factor must equal a fresh instance's.
+  util::Rng rng(11);
+  const CscMatrix large = random_square(rng, 120, 3);
+  const CscMatrix small = random_square(rng, 30, 4);
+  const CscMatrix other = random_square(rng, 120, 2);
+  BasisLu lu;
+  for (const CscMatrix* a : {&large, &small, &other}) {
+    const std::vector<std::int32_t> basis = all_columns(a->rows);
+    ASSERT_TRUE(lu.factorize(*a, basis, 1e-9));
+    BasisLu fresh;
+    ASSERT_TRUE(fresh.factorize(*a, basis, 1e-9));
+    expect_identical_solves(lu, fresh);
+  }
+}
+
+TEST(BasisLu, ReusedWorkspaceRejectsSingularThenRecovers) {
+  util::Rng rng(12);
+  const CscMatrix good = random_square(rng, 80, 3);
+  const CscMatrix other = random_square(rng, 80, 3);
+  BasisLu lu;
+  ASSERT_TRUE(lu.factorize(good, all_columns(80), 1e-9));
+  // The same column at two basis positions: singular however it is pivoted.
+  std::vector<std::int32_t> singular = all_columns(80);
+  singular[70] = singular[10];
+  EXPECT_FALSE(lu.factorize(good, singular, 1e-9));
+  // The workspace a failed factorisation left behind must not leak into
+  // the next one.
+  ASSERT_TRUE(lu.factorize(other, all_columns(80), 1e-9));
+  BasisLu fresh;
+  ASSERT_TRUE(fresh.factorize(other, all_columns(80), 1e-9));
+  expect_identical_solves(lu, fresh);
+}
+
 TEST(BasisLu, PushEtaRejectsTinyPivot) {
   std::vector<Triplet> t = {{0, 0, 1.0}, {1, 1, 1.0}};
   const CscMatrix a = CscMatrix::from_triplets(2, 2, t);

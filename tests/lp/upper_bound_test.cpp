@@ -174,6 +174,13 @@ TEST(UpperBoundSlackness, InfeasibleWhenDemandExceedsCapacity) {
   const SystemModel m = b.build();
   const auto ub = upper_bound_slackness(m);
   EXPECT_EQ(ub.status, SolveStatus::kInfeasible);
+  // Phase 1 pivots before it proves infeasibility; they are counted.
+  const LpSolution lp = solve(build_upper_bound_lp(m, /*complete=*/true,
+                                                   UbObjective::kTotalWorth));
+  EXPECT_EQ(lp.status, SolveStatus::kInfeasible);
+  EXPECT_GT(lp.phase1_iterations, 0u);
+  EXPECT_GE(lp.iterations, lp.phase1_iterations);
+  EXPECT_EQ(ub.iterations, lp.iterations);
 }
 
 TEST(UpperBound, ShadowPriceIdentifiesMachineBottleneck) {
