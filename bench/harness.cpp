@@ -93,6 +93,27 @@ void ScenarioBenchConfig::apply_full_scale(workload::Scenario s) {
   psg_trials = 4;
 }
 
+void ScenarioBenchConfig::check_ranges() const {
+  const struct {
+    const char* flag;
+    std::int64_t value;
+    std::int64_t min;
+  } counts[] = {{"--runs", runs, 1},
+                {"--machines", machines, 1},
+                {"--strings", strings, 1},
+                {"--psg-population", psg_population, 1},
+                {"--psg-trials", psg_trials, 1},
+                {"--psg-iterations", psg_iterations, 0},
+                {"--psg-stagnation", psg_stagnation, 0},
+                {"--threads", threads, 0}};
+  for (const auto& c : counts) {
+    if (c.value >= c.min) continue;
+    std::fprintf(stderr, "error: %s must be at least %lld (got %lld)\n", c.flag,
+                 static_cast<long long>(c.min), static_cast<long long>(c.value));
+    std::exit(2);
+  }
+}
+
 obs::RunInfo ScenarioBenchConfig::run_info() const {
   obs::RunInfo info = obs::RunInfo::current();
   info.seed = static_cast<std::uint64_t>(seed);
@@ -130,6 +151,7 @@ std::vector<core::AllocatorPtr> paper_allocators(const core::PsgOptions& psg) {
 
 ScenarioBenchResult run_scenario_bench(const ScenarioBenchConfig& config,
                                        bool slackness_metric) {
+  config.check_ranges();
   // Every requested sink must be writable before the first run starts, so a
   // bad path fails at once instead of after the runs or not at all.
   const std::pair<const char*, const std::string*> sinks[] = {

@@ -72,6 +72,10 @@ struct ScenarioBenchConfig {
   void register_flags(util::Flags& flags);
   /// Applies --full: paper-scale machines/strings/runs/PSG budget.
   void apply_full_scale(workload::Scenario scenario);
+  /// Exits with a usage error (2) naming the first count flag out of range:
+  /// --runs, --machines, --strings, --psg-population and --psg-trials below
+  /// 1, or --psg-iterations, --psg-stagnation and --threads below 0.
+  void check_ranges() const;
   /// PSG options assembled from the flag fields.
   [[nodiscard]] core::PsgOptions psg_options() const;
   /// Provenance block for this configuration (build stamps + seed, threads,

@@ -32,7 +32,9 @@ model::SystemModel make_instance(std::size_t machines, std::size_t strings,
   return workload::generate(config, rng);
 }
 
-void BM_UtilizationAddRemove(benchmark::State& state) {
+/// add_string then undo_add of each string in turn: the utilization half of
+/// a rejected commit.
+void BM_UtilizationAddUndo(benchmark::State& state) {
   const auto m = make_instance(8, static_cast<std::size_t>(state.range(0)));
   model::Allocation alloc(m);
   util::Rng rng(1);
@@ -47,16 +49,14 @@ void BM_UtilizationAddRemove(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t k = 0; k < m.num_strings(); ++k) {
       util.add_string(alloc, static_cast<model::StringId>(k));
-    }
-    for (std::size_t k = 0; k < m.num_strings(); ++k) {
-      util.remove_string(alloc, static_cast<model::StringId>(k));
+      util.undo_add(static_cast<model::StringId>(k));
     }
     benchmark::DoNotOptimize(util.slackness());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
                           static_cast<std::int64_t>(m.num_strings()));
 }
-BENCHMARK(BM_UtilizationAddRemove)->Arg(16)->Arg(64);
+BENCHMARK(BM_UtilizationAddUndo)->Arg(16)->Arg(64);
 
 void BM_ImrMapString(benchmark::State& state) {
   const auto m = make_instance(static_cast<std::size_t>(state.range(0)), 20);
@@ -338,7 +338,27 @@ void BM_TracingDisabledSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_TracingDisabledSpan);
 
-void BM_SessionCommitUncommit(benchmark::State& state) {
+/// A commit that fails and rolls back: strings are IMR-mapped and committed
+/// in id order until the first rejection, which then repeats on the same
+/// (unchanged) state every iteration.
+void BM_SessionCommitReject(benchmark::State& state) {
+  const auto m = make_instance(6, 64);
+  analysis::AllocationSession session(m);
+  for (model::StringId k = 0; static_cast<std::size_t>(k) < m.num_strings(); ++k) {
+    const auto assignment = core::imr_map_string(m, session.util(), k);
+    if (session.try_commit(k, assignment)) continue;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(session.try_commit(k, assignment));
+    }
+    return;
+  }
+  state.SkipWithError("every string fit; no commit to reject");
+}
+BENCHMARK(BM_SessionCommitReject);
+
+/// An accepted commit taken back by a snapshot restore (how the decode and
+/// the exact search rewind).
+void BM_SessionCommitRestore(benchmark::State& state) {
   const auto m = make_instance(6, 16);
   analysis::AllocationSession session(m);
   // Pre-commit half the strings as steady background load.
@@ -346,12 +366,14 @@ void BM_SessionCommitUncommit(benchmark::State& state) {
     const auto assignment = core::imr_map_string(m, session.util(), k);
     (void)session.try_commit(k, assignment);
   }
+  analysis::SessionSnapshot snap;
+  session.snapshot_into(snap);
   const auto assignment = core::imr_map_string(m, session.util(), 8);
   for (auto _ : state) {
-    if (session.try_commit(8, assignment)) session.uncommit(8);
+    if (session.try_commit(8, assignment)) session.restore_from(snap);
   }
 }
-BENCHMARK(BM_SessionCommitUncommit);
+BENCHMARK(BM_SessionCommitRestore);
 
 }  // namespace
 

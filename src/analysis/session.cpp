@@ -23,26 +23,20 @@ using model::SystemModel;
 
 namespace {
 
-/// Feasibility-rejection and rewind tallies, by cause.  Handles are resolved
-/// once; updates are thread-local (see obs/metrics.hpp).
+/// Feasibility-rejection tallies, by cause, and commit latency.  Handles are
+/// resolved once; updates are thread-local (see obs/metrics.hpp).
 struct SessionMetrics {
   obs::Counter& reject_utilization;  ///< stage one: resource over 100%
   obs::Counter& reject_throughput;   ///< stage two: eq. (1) period overrun
   obs::Counter& reject_latency;      ///< stage two: eq. (1) latency overrun
-  obs::Counter& uncommit_batches;
-  obs::Counter& uncommit_strings;
-  obs::Histogram& commit_latency_ns;    ///< wall clock per try_commit call
-  obs::Histogram& uncommit_latency_ns;  ///< wall clock per uncommit_all call
+  obs::Histogram& commit_latency_ns;  ///< wall clock per try_commit call
 
   static SessionMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
     static SessionMetrics m{reg.counter(obs::names::kSessionRejectUtilization),
                             reg.counter(obs::names::kSessionRejectThroughput),
                             reg.counter(obs::names::kSessionRejectLatency),
-                            reg.counter(obs::names::kSessionUncommitBatches),
-                            reg.counter(obs::names::kSessionUncommitStrings),
-                            reg.histogram(obs::names::kSessionCommitLatencyNs),
-                            reg.histogram(obs::names::kSessionUncommitLatencyNs)};
+                            reg.histogram(obs::names::kSessionCommitLatencyNs)};
     return m;
   }
 };
@@ -108,94 +102,6 @@ std::size_t AllocationSession::state_bytes() const noexcept {
   return util_.state_bytes() +
          (t_of_.size() + comp_.size() + tran_.size()) * sizeof(double) +
          app_off_.back() * sizeof(MachineId) + t_of_.size();  // alloc flat + flags
-}
-
-void AllocationSession::uncommit(StringId k) {
-  const auto ku = static_cast<std::size_t>(k);
-  assert(alloc_.deployed(k));
-
-  // Resources the string occupied; their residents need re-estimation.
-  touched_machines_.clear();
-  touched_routes_.clear();
-  note_touched(k, alloc_.machines_of(k));
-
-  util_.remove_string(alloc_, k);
-  alloc_.clear_string(k);
-  t_of_[ku] = std::numeric_limits<double>::quiet_NaN();
-
-  affected_strings_.clear();
-  for (const MachineId j : touched_machines_) {
-    for (const AppRef& ref : util_.apps_on(j)) {
-      if (std::find(affected_strings_.begin(), affected_strings_.end(), ref.k) ==
-          affected_strings_.end()) {
-        affected_strings_.push_back(ref.k);
-      }
-    }
-  }
-  for (const auto& [j1, j2] : touched_routes_) {
-    for (const AppRef& ref : util_.transfers_on(j1, j2)) {
-      if (std::find(affected_strings_.begin(), affected_strings_.end(), ref.k) ==
-          affected_strings_.end()) {
-        affected_strings_.push_back(ref.k);
-      }
-    }
-  }
-  for (const StringId z : affected_strings_) refresh_estimates_of(z);
-}
-
-void AllocationSession::uncommit_all(std::span<const StringId> ks) {
-  const std::uint64_t t0 = obs::clock_ticks();
-  SessionMetrics& metrics = SessionMetrics::get();
-  metrics.uncommit_batches.add(1);
-  metrics.uncommit_strings.add(ks.size());
-  // Union of resources the removed strings occupied (collected while the
-  // allocation still holds their assignments).
-  touched_machines_.clear();
-  touched_routes_.clear();
-  for (const StringId k : ks) {
-    assert(alloc_.deployed(k));
-    note_touched(k, alloc_.machines_of(k));
-  }
-
-  util_.remove_strings(alloc_, ks);
-  for (const StringId k : ks) {
-    alloc_.clear_string(k);
-    t_of_[static_cast<std::size_t>(k)] = std::numeric_limits<double>::quiet_NaN();
-  }
-
-  // One estimate refresh per affected survivor, against the final state.
-  affected_strings_.clear();
-  for (const MachineId j : touched_machines_) {
-    for (const AppRef& ref : util_.apps_on(j)) {
-      if (std::find(affected_strings_.begin(), affected_strings_.end(), ref.k) ==
-          affected_strings_.end()) {
-        affected_strings_.push_back(ref.k);
-      }
-    }
-  }
-  for (const auto& [j1, j2] : touched_routes_) {
-    for (const AppRef& ref : util_.transfers_on(j1, j2)) {
-      if (std::find(affected_strings_.begin(), affected_strings_.end(), ref.k) ==
-          affected_strings_.end()) {
-        affected_strings_.push_back(ref.k);
-      }
-    }
-  }
-  for (const StringId z : affected_strings_) refresh_estimates_of(z);
-
-  const std::uint64_t ns = obs::ticks_to_ns(obs::clock_ticks() - t0);
-  metrics.uncommit_latency_ns.record(ns);
-  obs::flight_recorder_record(obs::FrKind::kUncommit, ns, ks.size());
-}
-
-void AllocationSession::reset() {
-  alloc_ = Allocation(*model_);
-  util_ = UtilizationState(*model_);
-  std::fill(t_of_.begin(), t_of_.end(), std::numeric_limits<double>::quiet_NaN());
-  // Estimate slots of undeployed strings are never read (refresh precedes
-  // every read), but reset is cold — scrub them so a stale value can't hide.
-  std::fill(comp_.begin(), comp_.end(), std::numeric_limits<double>::quiet_NaN());
-  std::fill(tran_.begin(), tran_.end(), std::numeric_limits<double>::quiet_NaN());
 }
 
 TSCE_HOT void AllocationSession::note_touched(StringId k,
@@ -268,12 +174,12 @@ TSCE_HOT bool AllocationSession::try_commit(StringId k,
   }
 
   if (!ok) {
-    // Roll back: remove the string and restore the estimate slots stage two
-    // delta-updated from the journals.  Walking backwards makes repeated
-    // touches of one slot land on its oldest (pre-commit) value, so the
-    // restore is bit-exact; k's own slots are left stale (unreadable until
-    // its next deploy refreshes them).
-    util_.remove_string(alloc_, k);
+    // Roll back: undo the utilization add and restore the estimate slots
+    // stage two delta-updated from the journals.  Walking backwards makes
+    // repeated touches of one slot land on its oldest (pre-commit) value, so
+    // the restore is bit-exact; k's own slots are left stale (unreadable
+    // until its next deploy refreshes them).
+    util_.undo_add(k);
     alloc_.clear_string(k);
     t_of_[ku] = std::numeric_limits<double>::quiet_NaN();
     for (auto it = comp_journal_.rbegin(); it != comp_journal_.rend(); ++it) {

@@ -8,17 +8,19 @@
 /// it touches — stage one is re-checked on touched resources only and stage
 /// two re-estimates only resident applications of touched machines/routes
 /// (higher-priority estimates are unchanged by construction of eqs. 5-6).
-/// A failed commit rolls back completely, leaving the previous feasible
-/// intermediate mapping intact (the MWF/TF termination rule).
+/// A failed commit rolls back completely (UtilizationState::undo_add plus
+/// the estimate journals), leaving the previous feasible intermediate
+/// mapping intact (the MWF/TF termination rule).
 ///
 /// Estimate storage is SoA (DESIGN.md §12): one flat double array for all
 /// eq. (5) computation estimates and one for all eq. (6) transfer estimates,
 /// indexed by prefix sums over string app and edge counts — no per-string
 /// vectors, so the steady-state commit/rollback path never allocates.  The
 /// whole session state snapshots into a SessionSnapshot and restores back
-/// with a handful of memcpys, bit-exactly; the prefix-reuse decode rewinds
-/// through this instead of replaying removals, and replica-based engines
-/// clone sessions the same way.
+/// with a handful of memcpys, bit-exactly.  That restore is the only way to
+/// take back an accepted commit: the prefix-reuse decode and the exact
+/// search rewind through it, and replica-based engines clone sessions the
+/// same way.
 
 #pragma once
 
@@ -64,27 +66,9 @@ class AllocationSession {
   /// Attempts to deploy string \p k with the per-app machine \p assignment
   /// (size n_k, no kUnassigned entries).  Runs the two-stage feasibility
   /// analysis on the resulting intermediate mapping; on success the string is
-  /// committed and true is returned, otherwise the session state is unchanged
-  /// and false is returned.
+  /// committed and true is returned, otherwise every observable of the
+  /// session is as before the call and false is returned.
   bool try_commit(model::StringId k, const std::vector<model::MachineId>& assignment);
-
-  /// Removes a previously committed string, restoring the estimates of every
-  /// string that shared resources with it.  Enables backtracking searches
-  /// (e.g. the exact permutation enumeration).
-  void uncommit(model::StringId k);
-
-  /// Batched uncommit: removes every string in \p ks, then restores the
-  /// estimates of the affected survivors once at the end.  The final state is
-  /// bit-identical to uncommitting the strings one at a time (in any order):
-  /// eq. (5)-(6) estimates are pure functions of the final (allocation,
-  /// utilization, tightness) state, and survivors whose resources are
-  /// disjoint from the removed set see identical inputs either way.  The
-  /// single deferred refresh makes a suffix rewind in the prefix-reuse decode
-  /// O(residents) instead of O(suffix x residents).
-  void uncommit_all(std::span<const model::StringId> ks);
-
-  /// Forgets all commitments.
-  void reset();
 
   /// Copies the full session state into \p out (buffers reused — no
   /// allocation once \p out has reached working size).  restore_from() is the
@@ -127,10 +111,6 @@ class AllocationSession {
   /// Appends the machines and inter-machine routes of string k under
   /// \p assignment to the touched-resource scratch (deduplicated).
   void note_touched(model::StringId k, std::span<const model::MachineId> assignment);
-  /// Shim over constraint_violation for boolean call sites.
-  [[nodiscard]] bool string_meets_constraints(model::StringId k) const noexcept {
-    return constraint_violation(k) == ConstraintViolation::kNone;
-  }
 
   const model::SystemModel* model_;
   PriorityRule rule_;

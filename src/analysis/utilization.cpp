@@ -20,16 +20,17 @@ UtilizationState::UtilizationState(const SystemModel& model) : model_(&model) {
   // growth off the common path without reserving for the worst case.
   std::size_t apps = 0;
   std::size_t edges = 0;
+  std::size_t longest = 0;  // apps plus edges: one journal entry each at most
   for (const auto& s : model.strings) {
     apps += s.size();
     edges += s.edges.size();
+    longest = std::max(longest, s.size() + s.edges.size());
   }
   arena_ = util::Arena((m + m * m + apps) * sizeof(double));
   machine_util_ = arena_.alloc<double>(m);
   route_util_ = arena_.alloc<double>(m * m);
   slabs_ = arena_.alloc<Slab>(m + m * m);
-  touched_machines_.reserve(m);
-  touched_routes_.reserve(m * m);
+  journal_.reserve(longest);
 
   // Incidence lists by counting sort; edges are visited in index order, so
   // each app's list is increasing.  incident_off_[a + 1] first counts app a's
@@ -100,27 +101,19 @@ TSCE_HOT void UtilizationState::slab_push(std::size_t resource, AppRef ref) {
   arena_.view(slabs_)[resource] = s;
 }
 
-TSCE_HOT void UtilizationState::slab_erase(std::size_t resource, AppRef ref) {
-  Slab s = arena_.view(slabs_)[resource];
-  const std::span<AppRef> residents =
-      arena_.view(util::ArenaSpan<AppRef>{s.begin, s.size});
-  const auto it = std::find(residents.begin(), residents.end(), ref);
-  assert(it != residents.end());
-  std::move(it + 1, residents.end(), it);  // preserve order, like vector::erase
-  --s.size;
-  arena_.view(slabs_)[resource] = s;
-}
-
 TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) {
   const auto& s = model_->strings[static_cast<std::size_t>(k)];
+  journal_.clear();
+  journal_k_ = k;
   model::sweep(
       s,
       [&](std::size_t iu) {
         const auto i = static_cast<AppIndex>(iu);
         const MachineId j = alloc.machine_of(k, i);
         assert(j != model::kUnassigned);
-        arena_.view(machine_util_)[static_cast<std::size_t>(j)] +=
-            machine_delta(k, i, j);
+        double& u = arena_.view(machine_util_)[static_cast<std::size_t>(j)];
+        journal_.push_back({static_cast<std::uint32_t>(j), u});
+        u += machine_delta(k, i, j);
         slab_push(static_cast<std::size_t>(j), {k, i});
       },
       [&](std::size_t eu) {
@@ -129,84 +122,34 @@ TSCE_HOT void UtilizationState::add_string(const Allocation& alloc, StringId k) 
         const MachineId j2 = alloc.machine_of(k, s.edges[eu].to);
         if (j1 == j2) return;
         const std::size_t r = route_index(j1, j2);
-        arena_.view(route_util_)[r] += route_delta(k, e, j1, j2);
+        double& u = arena_.view(route_util_)[r];
+        journal_.push_back({static_cast<std::uint32_t>(num_machines() + r), u});
+        u += route_delta(k, e, j1, j2);
         slab_push(num_machines() + r, {k, e});
       });
 }
 
-TSCE_HOT void UtilizationState::remove_string(const Allocation& alloc, StringId k) {
-  // Removal erases the string's entries from the resident lists and then
-  // recomputes every touched utilization as a fresh left-to-right sum over
-  // the survivors.  Subtracting the deltas instead would leave floating-point
-  // residues ((u + d) - d != u in general), breaking the exact-rollback
-  // invariant that the prefix-reuse decode and try_commit rely on: a
-  // commit/uncommit round trip must restore bit-identical state.  Fresh
-  // summation makes each utilization a pure function of its resident list,
-  // and add_string's running sum equals the same left fold, so the two paths
-  // can never drift apart.
-  touched_machines_.clear();
-  touched_routes_.clear();
-  erase_string(alloc, k);
-  resum_touched();
-}
-
-TSCE_HOT void UtilizationState::remove_strings(const Allocation& alloc,
-                                               std::span<const StringId> ks) {
-  touched_machines_.clear();
-  touched_routes_.clear();
-  for (const StringId k : ks) erase_string(alloc, k);
-  resum_touched();
-}
-
-TSCE_HOT void UtilizationState::erase_string(const Allocation& alloc, StringId k) {
-  const auto& s = model_->strings[static_cast<std::size_t>(k)];
-  model::sweep(
-      s,
-      [&](std::size_t iu) {
-        const auto i = static_cast<AppIndex>(iu);
-        const MachineId j = alloc.machine_of(k, i);
-        assert(j != model::kUnassigned);
-        slab_erase(static_cast<std::size_t>(j), {k, i});
-        if (std::find(touched_machines_.begin(), touched_machines_.end(), j) ==
-            touched_machines_.end()) {
-          touched_machines_.push_back(j);
-        }
-      },
-      [&](std::size_t eu) {
-        const MachineId j1 = alloc.machine_of(k, s.edges[eu].from);
-        const MachineId j2 = alloc.machine_of(k, s.edges[eu].to);
-        if (j1 == j2) return;
-        const std::size_t r = route_index(j1, j2);
-        slab_erase(num_machines() + r, {k, static_cast<AppIndex>(eu)});
-        if (std::find(touched_routes_.begin(), touched_routes_.end(), r) ==
-            touched_routes_.end()) {
-          touched_routes_.push_back(r);
-        }
-      });
-}
-
-TSCE_HOT void UtilizationState::resum_touched() {
-  // Fresh left-to-right sums over the flat resident slabs; with the pool in
-  // one contiguous block these scans are cache-linear per resource.
+TSCE_HOT void UtilizationState::undo_add([[maybe_unused]] StringId k) {
+  assert(k == journal_k_);
+  // k's entries are the tail of every slab it touched, and each journaled
+  // value is the fold of that slab without them: popping in reverse write
+  // order leaves exactly the state before add_string (repeated touches of one
+  // resource land on its oldest value).
+  const std::span<Slab> slabs = arena_.view(slabs_);
   const std::span<double> machine_util = arena_.view(machine_util_);
-  for (const MachineId j : touched_machines_) {
-    double u = 0.0;
-    for (const AppRef& ref : slab_span(static_cast<std::size_t>(j))) {
-      u += machine_delta(ref.k, ref.i, j);
-    }
-    machine_util[static_cast<std::size_t>(j)] = u;
-  }
-  const auto m = static_cast<MachineId>(num_machines());
   const std::span<double> route_util = arena_.view(route_util_);
-  for (const std::size_t r : touched_routes_) {
-    const auto j1 = static_cast<MachineId>(r / static_cast<std::size_t>(m));
-    const auto j2 = static_cast<MachineId>(r % static_cast<std::size_t>(m));
-    double u = 0.0;
-    for (const AppRef& ref : slab_span(num_machines() + r)) {
-      u += route_delta(ref.k, ref.i, j1, j2);
+  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
+    Slab& slab = slabs[it->resource];
+    assert(slab.size > 0 && slab_span(it->resource).back().k == k);
+    --slab.size;
+    if (it->resource < num_machines()) {
+      machine_util[it->resource] = it->before;
+    } else {
+      route_util[it->resource - num_machines()] = it->before;
     }
-    route_util[r] = u;
   }
+  journal_.clear();
+  journal_k_ = model::kInvalidId;
 }
 
 double UtilizationState::max_machine_util() const noexcept {

@@ -2,8 +2,9 @@
 /// Machine and communication-route utilization accounting, eqs. (2)-(3).
 ///
 /// UtilizationState supports both batch computation from a complete
-/// allocation and incremental add/remove of single strings, which the
-/// sequential heuristics (IMR inside MWF/TF/PSG decode) rely on.  It also
+/// allocation and incremental addition of single strings, which the
+/// sequential heuristics (IMR inside MWF/TF/PSG decode) rely on; the most
+/// recent addition can be taken back with undo_add.  It also
 /// tracks which applications/transfers reside on each resource, which the
 /// stage-two time estimation reuses.
 ///
@@ -12,8 +13,8 @@
 /// (offset, size, capacity) triples, and a CSR-style pool of resident AppRef
 /// slabs that grow in place amortized.  Because every internal reference is
 /// an arena offset, snapshot()/restore() are single memcpys of the used
-/// prefix and are bit-exact; remove_string/remove_strings keep the original
-/// re-summation semantics for callers that rewind without a snapshot.
+/// prefix and are bit-exact.  Slabs only grow and shrink at their tail, so
+/// every utilization is the left fold of its resident slab.
 
 #pragma once
 
@@ -60,19 +61,13 @@ class UtilizationState {
   /// Adds every application and every inter-machine edge of string k using
   /// its assignment in \p alloc (string must be fully mapped).
   void add_string(const model::Allocation& alloc, model::StringId k);
-  /// Exact inverse of add_string: after the call, every utilization is
-  /// bit-identical to a state that never added string k (touched resources
-  /// are re-summed over their resident lists rather than decremented, so no
-  /// floating-point residue survives).  This exactness is the rollback
-  /// invariant the prefix-reuse decode (core::DecodeContext) depends on.
-  void remove_string(const model::Allocation& alloc, model::StringId k);
-  /// Batched remove_string: erases every string in \p ks, then re-sums each
-  /// touched resource once.  Because removal is exact (pure function of the
-  /// final resident lists), the result is bit-identical to removing the
-  /// strings one at a time, in any order — but a suffix rewind pays one
-  /// re-summation per touched resource instead of one per removed string.
-  void remove_strings(const model::Allocation& alloc,
-                      std::span<const model::StringId> ks);
+  /// Takes back the most recent add_string, which must have been of string
+  /// \p k (no other mutation or restore in between): pops k's entries off the
+  /// tail of each slab it touched and restores the utilizations add_string
+  /// overwrote from its journal, in reverse.  Bit-exact: the restored value
+  /// is the left fold of the remaining slab.  A slab that add_string moved to
+  /// grow stays where it moved to.
+  void undo_add(model::StringId k);
 
   /// U_machine[j], eq. (2).
   [[nodiscard]] double machine_util(model::MachineId j) const noexcept {
@@ -155,7 +150,10 @@ class UtilizationState {
   /// O(bytes), no per-string work.  A snapshot may be restored into any
   /// UtilizationState built from the same SystemModel.
   void snapshot_into(util::ArenaSnapshot& out) const { arena_.snapshot_into(out); }
-  void restore_from(const util::ArenaSnapshot& snap) { arena_.restore_from(snap); }
+  void restore_from(const util::ArenaSnapshot& snap) {
+    arena_.restore_from(snap);
+    journal_k_ = model::kInvalidId;
+  }
   /// Size of the contiguous state block (what snapshot/clone copy).
   [[nodiscard]] std::size_t state_bytes() const noexcept { return arena_.used(); }
 
@@ -177,16 +175,6 @@ class UtilizationState {
   /// Appends \p ref to a resident slab, growing it amortized (in place when
   /// the slab sits at the arena tip).
   void slab_push(std::size_t resource, AppRef ref);
-  /// Removes the first occurrence of \p ref, shifting survivors left (same
-  /// order semantics as the original vector erase).
-  void slab_erase(std::size_t resource, AppRef ref);
-
-  /// Erases k's entries from the resident lists, accumulating the touched
-  /// resources into the scratch vectors (callers clear them first).
-  void erase_string(const model::Allocation& alloc, model::StringId k);
-  /// Recomputes every touched utilization as a fresh sum over its residents.
-  void resum_touched();
-
   [[nodiscard]] std::size_t route_index(model::MachineId j1, model::MachineId j2) const noexcept {
     return static_cast<std::size_t>(j1) * num_machines() + static_cast<std::size_t>(j2);
   }
@@ -202,9 +190,15 @@ class UtilizationState {
   std::vector<std::uint32_t> app_base_;     ///< first global app index per string
   std::vector<std::uint32_t> incident_off_; ///< per global app, size apps + 1
   std::vector<model::AppIndex> incident_;   ///< edge indices, two per edge
-  // Scratch for remove_string (resources whose sums need recomputation).
-  std::vector<model::MachineId> touched_machines_;
-  std::vector<std::size_t> touched_routes_;
+  /// What the last add_string overwrote, in write order: the unified
+  /// resource index and its utilization before the write.  Reserved in the
+  /// constructor for the longest string's apps plus edges.
+  struct JournalEntry {
+    std::uint32_t resource;
+    double before;
+  };
+  std::vector<JournalEntry> journal_;
+  model::StringId journal_k_ = model::kInvalidId;  ///< string journal_ belongs to
 };
 
 }  // namespace tsce::analysis

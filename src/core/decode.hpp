@@ -11,11 +11,10 @@
 /// the divergent suffix is re-decoded; the longest common prefix is reused
 /// verbatim.  Rewinding is a checkpoint restore (DESIGN.md §12): the context
 /// keeps a per-depth SessionSnapshot stack, so dropping a suffix is a few
-/// memcpys of flat state instead of replaying removals.  Observable state
-/// after a restore is bit-identical to an exact-rollback rewind and to a
-/// from-scratch decode of the shared prefix (the session's flat layout makes
-/// the snapshot a byte image), so incremental results equal full re-decodes
-/// exactly.
+/// memcpys of flat state.  Observable state after a restore is
+/// bit-identical to a from-scratch decode of the shared prefix (the
+/// session's flat layout makes the snapshot a byte image), so incremental
+/// results equal full re-decodes exactly.
 
 #pragma once
 
@@ -79,7 +78,7 @@ class DecodeContext {
   /// the new depth is checkpointed.  The exact enumerator drives its
   /// depth-first search with these.
   bool try_push(model::StringId k);
-  /// Uncommits the most recently pushed string (checkpoint restore).
+  /// Takes back the most recently pushed string (checkpoint restore).
   void pop();
   /// Rewinds until only \p prefix_len strings remain committed: restores the
   /// checkpoint taken when the prefix was first decoded — O(state bytes),

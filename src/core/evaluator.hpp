@@ -67,7 +67,7 @@ class BatchEvaluator {
         }
       }));
     }
-    for (auto& f : done) f.get();  // rethrows the first worker exception
+    util::ThreadPool::drain(done);  // joins every worker, then rethrows
   }
 
  private:

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,12 +31,6 @@ class Allocation {
   /// Machine of application i of string k, or kUnassigned.
   [[nodiscard]] MachineId machine_of(StringId k, AppIndex i) const noexcept {
     return flat_[offset_[static_cast<std::size_t>(k)] + static_cast<std::size_t>(i)];
-  }
-
-  /// Machines of every application of string k, in app order.
-  [[nodiscard]] std::span<const MachineId> machines_of(StringId k) const noexcept {
-    const auto ku = static_cast<std::size_t>(k);
-    return {flat_.data() + offset_[ku], offset_[ku + 1] - offset_[ku]};
   }
 
   void assign(StringId k, AppIndex i, MachineId j) noexcept {

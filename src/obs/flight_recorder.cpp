@@ -121,7 +121,6 @@ constexpr KindDesc kKinds[kFrKindCount] = {
     {names::kFrDecode, Record::kRing,
      {{"ns", 0}, {"reused", 1}, {"deployed", 2}}},
     {names::kFrCommitReject, Record::kRing, {{"string", 0}, {"violation", 1}}},
-    {names::kFrUncommit, Record::kRing, {{"ns", 0}, {"strings", 1}}},
     {names::kFrRemap, Record::kRing,
      {{"ns", 0}, {"migrations", 1}, {"dropped", 2}}},
     {names::kFrAnomaly, Record::kRing,
@@ -421,10 +420,6 @@ void flight_recorder_configure(const FlightRecorderConfig& config) {
                               std::memory_order_relaxed);
   // Pre-warm the tick-rate calibration off the hot path.
   (void)ticks_per_ns();
-}
-
-const FlightRecorderConfig& flight_recorder_config() noexcept {
-  return state().config;
 }
 
 void flight_recorder_record(FrKind kind, std::uint64_t a0, std::uint64_t a1,

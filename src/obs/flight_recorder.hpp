@@ -56,29 +56,28 @@ enum class FrKind : std::uint16_t {
   // Ring-only kinds: in dumps, never in a --trace file.
   kDecode = 0,        ///< a0 = latency ns, a1 = prefix reused, a2 = deployed
   kCommitReject = 1,  ///< a0 = string id, a1 = violation class
-  kUncommit = 2,      ///< a0 = latency ns, a1 = strings uncommitted
-  kRemap = 3,         ///< a0 = latency ns, a1 = migrations, a2 = dropped
-  kAnomaly = 4,       ///< a0 = anomaly code, a1 = value, a2 = watermark
-  kMark = 5,          ///< user-defined payload (tests, bench phase marks)
+  kRemap = 2,         ///< a0 = latency ns, a1 = migrations, a2 = dropped
+  kAnomaly = 3,       ///< a0 = anomaly code, a1 = value, a2 = watermark
+  kMark = 4,          ///< user-defined payload (tests, bench phase marks)
   // Span kinds (obs::Span): ts = start tick, a0 = duration in ticks.
-  kSearchTrial = 6,           ///< a1 = trial, a2 = evaluations
-  kSearchRestart = 7,         ///< a1 = restart, a2 = evaluations
-  kSearchAnneal = 8,          ///< a1 = replicas, a2 = evaluations
-  kSearchExact = 9,           ///< a1 = threads, a2 = evaluations
-  kSearchExactBranch = 10,    ///< a1 = branch, a2 = evaluations
-  kSearchClass = 11,          ///< a1 = class, a2 = members
-  kSearchTemperSweep = 12,    ///< a1 = sweep
-  kSearchTemperReplica = 13,  ///< a1 = replica, a2 = sweep
-  kBenchAlloc = 14,           ///< a1 = run, a2 = metric (double)
-  kBenchUb = 15,              ///< a1 = run, a2 = metric (double)
-  kBenchMicroSpan = 16,       ///< a1 = k
+  kSearchTrial = 5,           ///< a1 = trial, a2 = evaluations
+  kSearchRestart = 6,         ///< a1 = restart, a2 = evaluations
+  kSearchAnneal = 7,          ///< a1 = replicas, a2 = evaluations
+  kSearchExact = 8,           ///< a1 = threads, a2 = evaluations
+  kSearchExactBranch = 9,     ///< a1 = branch, a2 = evaluations
+  kSearchClass = 10,          ///< a1 = class, a2 = members
+  kSearchTemperSweep = 11,    ///< a1 = sweep
+  kSearchTemperReplica = 12,  ///< a1 = replica, a2 = sweep
+  kBenchAlloc = 13,           ///< a1 = run, a2 = metric (double)
+  kBenchUb = 14,              ///< a1 = run, a2 = metric (double)
+  kBenchMicroSpan = 15,       ///< a1 = k
   // Trace-event kinds (obs::trace_event / trace_improve).
   /// a0 = trial << 32 | iteration, a1 = worth, a2 = slackness (doubles)
-  kSearchImprove = 17,
-  kSearchTemperExchange = 18,  ///< a0 = sweep, a1 = pair, a2 = accepted
-  kBenchMicroEvent = 19,       ///< a0 = k
+  kSearchImprove = 16,
+  kSearchTemperExchange = 17,  ///< a0 = sweep, a1 = pair, a2 = accepted
+  kBenchMicroEvent = 18,       ///< a0 = k
 };
-inline constexpr std::size_t kFrKindCount = 20;
+inline constexpr std::size_t kFrKindCount = 19;
 
 /// Interned phase string (the allocator name a span or trace event belongs
 /// to; see obs::intern_phase).  0 = no phase.
@@ -103,7 +102,6 @@ struct FlightRecorderConfig {
 /// Installs \p config process-wide.  Not thread-safe against concurrent
 /// recording; call during startup (harness flag parsing, test SetUp).
 void flight_recorder_configure(const FlightRecorderConfig& config);
-[[nodiscard]] const FlightRecorderConfig& flight_recorder_config() noexcept;
 
 /// Records one event into the calling thread's ring.  Wait-free after the
 /// thread's first event (which allocates its ring in a cold helper), except

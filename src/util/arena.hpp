@@ -11,12 +11,10 @@
 /// compile time), which is what makes the byte-level snapshot exact: a
 /// restored arena is bit-identical to the arena at snapshot time.
 ///
-/// The arena is monotonic: alloc() only moves the tip forward.  Rewinding is
-/// either structural (checkpoint()/rewind() move the tip back, cheap and
-/// byte-exact for tip-only usage) or total (snapshot_into()/restore_from()
-/// replay the full used prefix).  There is no per-object free; dead regions
-/// left behind by grow() are reclaimed only when the owner rebuilds the
-/// arena.
+/// The arena is monotonic: alloc() only moves the tip forward, and the only
+/// rewind is restore_from() of a snapshot of the full used prefix.  There is
+/// no per-object free; dead regions left behind by grow() are reclaimed only
+/// when the owner rebuilds the arena.
 
 #pragma once
 
@@ -113,15 +111,6 @@ class Arena {
 
   [[nodiscard]] std::size_t used() const noexcept { return used_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Structural rewind: marks the current tip so later allocations can be
-  /// abandoned wholesale.  Only sound when everything past the checkpoint is
-  /// tip-only (no live spans point beyond it).
-  struct Checkpoint {
-    std::size_t used = 0;
-  };
-  [[nodiscard]] Checkpoint checkpoint() const noexcept { return {used_}; }
-  void rewind(Checkpoint cp) noexcept { used_ = cp.used; }
 
   /// Copies the used prefix into \p out (one memcpy; buffer reused).
   void snapshot_into(ArenaSnapshot& out) const {

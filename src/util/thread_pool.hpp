@@ -132,11 +132,11 @@ class ThreadPool {
     drain(futures);
   }
 
- private:
   /// Waits on every future before rethrowing the first stored exception.
   /// Rethrowing from the first failed get() would abandon tasks that are
   /// still running against stack captures of the caller's frame
-  /// (use-after-scope once the caller unwinds).
+  /// (use-after-scope once the caller unwinds), so every caller that fans
+  /// tasks out over its own frame joins them through here.
   static void drain(std::vector<std::future<void>>& futures) {
     std::exception_ptr first;
     for (auto& f : futures) {
@@ -149,6 +149,7 @@ class ThreadPool {
     if (first) std::rethrow_exception(first);
   }
 
+ private:
   struct Item {
     std::function<void()> fn;
     std::chrono::steady_clock::time_point enqueued{};

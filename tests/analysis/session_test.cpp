@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/feasibility.hpp"
 #include "model/system_model.hpp"
 #include "testing/builders.hpp"
@@ -101,57 +103,6 @@ TEST(Session, FitnessTracksWorthAndSlackness) {
   EXPECT_NEAR(session.fitness().slackness, 0.5, 1e-12);
 }
 
-TEST(Session, ResetClearsEverything) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  session.reset();
-  EXPECT_EQ(session.fitness().total_worth, 0);
-  EXPECT_DOUBLE_EQ(session.util().machine_util(0), 0.0);
-  EXPECT_FALSE(session.allocation().deployed(0));
-  // Can commit again after reset.
-  EXPECT_TRUE(session.try_commit(0, {0, 1}));
-}
-
-TEST(Session, UncommitRestoresPreviousState) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 0}));
-  const double slack_before = session.fitness().slackness;
-  const double comp_before = session.comp_estimates(0)[0];
-  ASSERT_TRUE(session.try_commit(1, {0, 0}));
-  session.uncommit(1);
-  EXPECT_FALSE(session.allocation().deployed(1));
-  EXPECT_TRUE(session.allocation().deployed(0));
-  EXPECT_NEAR(session.fitness().slackness, slack_before, 1e-12);
-  EXPECT_DOUBLE_EQ(session.comp_estimates(0)[0], comp_before);
-  EXPECT_EQ(session.fitness().total_worth, 100);
-}
-
-TEST(Session, UncommitRestoresLowerPriorityEstimates) {
-  // Removing the tighter string must give the looser one its waiting back.
-  const SystemModel m = testing::figure2_system(4.0, 4.0, 1.0);
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(1, {0}));  // loose alone: comp = 2
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
-  ASSERT_TRUE(session.try_commit(0, {0}));  // now loose waits: comp = 4
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 4.0);
-  session.uncommit(0);
-  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
-}
-
-TEST(Session, UncommitThenRecommitIsIdempotent) {
-  const SystemModel m = testing::two_machine_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  const auto fitness = session.fitness();
-  session.uncommit(1);
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  EXPECT_EQ(session.fitness().total_worth, fitness.total_worth);
-  EXPECT_NEAR(session.fitness().slackness, fitness.slackness, 1e-12);
-}
-
 /// Two machines, four low-utilization strings with cross-machine transfers:
 /// every commit order and machine split below is feasible, so the rollback
 /// tests can focus on state restoration.
@@ -173,19 +124,25 @@ SystemModel four_string_system() {
       .build();
 }
 
-/// Exact (bitwise, via operator==) state comparison: utilization of every
-/// machine and route, fitness, and the cached eq. (5)-(6) estimates of every
-/// deployed string.  This is the rollback invariant the prefix-reuse decode
-/// depends on, so plain EXPECT_EQ on doubles is intentional.
+/// Exact (bitwise, via operator==) state comparison: utilization and
+/// resident list (in order) of every machine and route, fitness, and the
+/// cached eq. (5)-(6) estimates of every deployed string.  This is the
+/// rollback invariant the prefix-reuse decode depends on, so plain EXPECT_EQ
+/// on doubles is intentional.
 void expect_states_identical(const AllocationSession& a,
                              const AllocationSession& b,
                              const SystemModel& m) {
   const auto machines = static_cast<MachineId>(m.num_machines());
   for (MachineId j = 0; j < machines; ++j) {
     EXPECT_EQ(a.util().machine_util(j), b.util().machine_util(j)) << "machine " << j;
+    EXPECT_TRUE(std::ranges::equal(a.util().apps_on(j), b.util().apps_on(j)))
+        << "residents of machine " << j;
     for (MachineId j2 = 0; j2 < machines; ++j2) {
       EXPECT_EQ(a.util().route_util(j, j2), b.util().route_util(j, j2))
           << "route " << j << "->" << j2;
+      EXPECT_TRUE(std::ranges::equal(a.util().transfers_on(j, j2),
+                                     b.util().transfers_on(j, j2)))
+          << "residents of route " << j << "->" << j2;
     }
   }
   EXPECT_EQ(a.fitness().total_worth, b.fitness().total_worth);
@@ -209,31 +166,66 @@ void expect_states_identical(const AllocationSession& a,
   }
 }
 
-TEST(Session, NonLifoUncommitMatchesFromScratch) {
-  const SystemModel m = four_string_system();
+TEST(Session, UncommitRestoresPreviousState) {
+  const SystemModel m = testing::two_machine_system();
+  AllocationSession session(m);
+  ASSERT_TRUE(session.try_commit(0, {0, 0}));
+  SessionSnapshot snap;
+  session.snapshot_into(snap);
+  ASSERT_TRUE(session.try_commit(1, {0, 0}));
+  session.restore_from(snap);
+  EXPECT_FALSE(session.allocation().deployed(1));
+  EXPECT_TRUE(session.allocation().deployed(0));
+  EXPECT_EQ(session.fitness().total_worth, 100);
+
+  AllocationSession fresh(m);
+  ASSERT_TRUE(fresh.try_commit(0, {0, 0}));
+  expect_states_identical(session, fresh, m);
+}
+
+TEST(Session, UncommitRestoresLowerPriorityEstimates) {
+  // Taking back the tighter string must give the looser one its waiting back.
+  const SystemModel m = testing::figure2_system(4.0, 4.0, 1.0);
+  AllocationSession session(m);
+  ASSERT_TRUE(session.try_commit(1, {0}));  // loose alone: comp = 2
+  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
+  SessionSnapshot snap;
+  session.snapshot_into(snap);
+  ASSERT_TRUE(session.try_commit(0, {0}));  // now loose waits: comp = 4
+  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 4.0);
+  session.restore_from(snap);
+  EXPECT_DOUBLE_EQ(session.comp_estimates(1)[0], 2.0);
+
+  AllocationSession fresh(m);
+  ASSERT_TRUE(fresh.try_commit(1, {0}));
+  expect_states_identical(session, fresh, m);
+}
+
+TEST(Session, UncommitThenRecommitIsIdempotent) {
+  const SystemModel m = testing::two_machine_system();
   AllocationSession session(m);
   ASSERT_TRUE(session.try_commit(0, {0, 1}));
+  SessionSnapshot snap;
+  session.snapshot_into(snap);
   ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  ASSERT_TRUE(session.try_commit(3, {1, 1}));
-  session.uncommit(1);  // middle of the commit history, not the top
+  session.restore_from(snap);
+  ASSERT_TRUE(session.try_commit(1, {1, 0}));
 
   AllocationSession fresh(m);
   ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  ASSERT_TRUE(fresh.try_commit(2, {0, 0}));
-  ASSERT_TRUE(fresh.try_commit(3, {1, 1}));
+  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
   expect_states_identical(session, fresh, m);
-  EXPECT_TRUE(check_feasibility(m, session.allocation()).feasible());
 }
 
 TEST(Session, CommitUncommitRecommitRoundTripBitIdentical) {
   const SystemModel m = four_string_system();
   AllocationSession session(m);
   ASSERT_TRUE(session.try_commit(0, {0, 1}));
+  SessionSnapshot snap;
+  session.snapshot_into(snap);
   ASSERT_TRUE(session.try_commit(1, {1, 0}));
   ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  session.uncommit(2);
-  session.uncommit(1);
+  session.restore_from(snap);
   ASSERT_TRUE(session.try_commit(1, {1, 0}));
   ASSERT_TRUE(session.try_commit(2, {0, 0}));
 
@@ -244,45 +236,55 @@ TEST(Session, CommitUncommitRecommitRoundTripBitIdentical) {
   expect_states_identical(session, fresh, m);
 }
 
-TEST(Session, NonLifoRecommitMatchesReorderedHistory) {
-  // Removing the oldest string and re-adding it moves its entries to the end
-  // of the resident lists, so the state must equal a history that committed
-  // it last (resource sums are pure functions of the resident-list order).
-  const SystemModel m = four_string_system();
-  AllocationSession session(m);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-  ASSERT_TRUE(session.try_commit(1, {1, 0}));
-  ASSERT_TRUE(session.try_commit(2, {0, 0}));
-  session.uncommit(0);
-  ASSERT_TRUE(session.try_commit(0, {0, 1}));
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
-  ASSERT_TRUE(fresh.try_commit(2, {0, 0}));
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  expect_states_identical(session, fresh, m);
+/// Three residents on machine 0 (one with a transfer to machine 1), then a
+/// 3-app string that puts two apps on machine 0 — its fifth entry outgrows
+/// the slab's initial capacity of 4, so the add moves the slab — and one on
+/// machine 1 across route 0->1.  \p overload_machine makes the string
+/// overload machine 0 (stage-one rejection); otherwise it fits and its own
+/// latency bound fails after it has preempted every resident (stage-two
+/// rejection, with the estimate journals in play).
+SystemModel rejected_grower_system(bool overload_machine) {
+  return SystemModelBuilder(2)
+      .uniform_bandwidth(8.0)
+      .begin_string(10.0, 1000.0, Worth::kHigh, "r0")
+      .add_app(1.0, 0.5, 10.0, "r0a")
+      .add_app(1.0, 0.5, 0.0, "r0b")
+      .begin_string(10.0, 1000.0, Worth::kMedium, "r1")
+      .add_app(1.0, 0.5, 0.0, "r1a")
+      .begin_string(10.0, 1000.0, Worth::kLow, "r2")
+      .add_app(1.0, 0.5, 0.0, "r2a")
+      .begin_string(10.0, overload_machine ? 1000.0 : 0.5, Worth::kHigh, "grow")
+      .add_app(overload_machine ? 10.0 : 1.0, 1.0, 20.0, "g0")
+      .add_app(1.0, 0.5, 30.0, "g1")
+      .add_app(1.0, 0.5, 0.0, "g2")
+      .build();
 }
 
-TEST(Session, UncommitAllMatchesSequentialUncommits) {
-  const SystemModel m = four_string_system();
-  AllocationSession batched(m);
-  AllocationSession sequential(m);
-  for (AllocationSession* s : {&batched, &sequential}) {
-    ASSERT_TRUE(s->try_commit(0, {0, 1}));
-    ASSERT_TRUE(s->try_commit(1, {1, 0}));
-    ASSERT_TRUE(s->try_commit(2, {0, 0}));
-    ASSERT_TRUE(s->try_commit(3, {1, 1}));
+TEST(Session, RejectedCommitThatMovesASlabRestoresEveryObservable) {
+  for (const bool overload_machine : {true, false}) {
+    SCOPED_TRACE(overload_machine ? "stage one" : "stage two");
+    const SystemModel m = rejected_grower_system(overload_machine);
+    AllocationSession session(m);
+    ASSERT_TRUE(session.try_commit(0, {0, 1}));
+    ASSERT_TRUE(session.try_commit(1, {0}));
+    ASSERT_TRUE(session.try_commit(2, {0}));
+    ASSERT_EQ(session.util().apps_on(0).size(), 3u);
+    SessionSnapshot snap;
+    session.snapshot_into(snap);
+    AllocationSession before(m);
+    before.restore_from(snap);
+    const std::size_t bytes_before = session.util().state_bytes();
+
+    const double machine0_after = session.util().machine_util(0) +
+                                  session.util().machine_delta(3, 0, 0) +
+                                  session.util().machine_delta(3, 1, 0);
+    EXPECT_EQ(machine0_after > 1.0, overload_machine);
+    EXPECT_FALSE(session.try_commit(3, {0, 0, 1}));
+    EXPECT_FALSE(session.allocation().deployed(3));
+    // The grown slab stays where it moved to; nothing observable changed.
+    EXPECT_GT(session.util().state_bytes(), bytes_before);
+    expect_states_identical(session, before, m);
   }
-  const std::vector<model::StringId> suffix{2, 3};
-  batched.uncommit_all(suffix);
-  sequential.uncommit(3);
-  sequential.uncommit(2);
-  expect_states_identical(batched, sequential, m);
-
-  AllocationSession fresh(m);
-  ASSERT_TRUE(fresh.try_commit(0, {0, 1}));
-  ASSERT_TRUE(fresh.try_commit(1, {1, 0}));
-  expect_states_identical(batched, fresh, m);
 }
 
 TEST(Session, SessionResultMatchesBatchFeasibility) {

@@ -1,6 +1,6 @@
 /// Property test for the arena-backed UtilizationState (DESIGN.md §12):
-/// random interleaved add_string / remove_strings / snapshot / restore
-/// sequences must stay bit-identical to a from-scratch from_allocation
+/// random interleaved add_string / undo_add / snapshot / restore sequences
+/// must stay bit-identical to a from-scratch from_allocation
 /// rebuild that replays the surviving deployment order.  Every utilization is
 /// maintained as a left fold over its resident slab, so the live state, the
 /// replayed rebuild, and a restored snapshot can never drift apart — not even
@@ -58,7 +58,7 @@ class Driver {
       if (r < 5) {
         add_random_string();
       } else if (r < 7) {
-        remove_random_subset();
+        undo_last_add();
       } else if (r < 9 || saved_.empty()) {
         save_snapshot();
       } else {
@@ -86,26 +86,16 @@ class Driver {
     alloc_.set_deployed(k, true);
     util_.add_string(alloc_, k);
     deploy_order_.push_back(k);
+    last_added_ = k;
   }
 
-  void remove_random_subset() {
-    std::vector<StringId> subset;
-    for (auto it = deploy_order_.begin(); it != deploy_order_.end();) {
-      if (rng_.bounded(3) == 0) {
-        subset.push_back(*it);
-        it = deploy_order_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (subset.empty()) return;
-    // remove_strings reads the assignments, so the shadow allocation is
-    // cleared only after the call.
-    util_.remove_strings(alloc_, subset);
-    for (const StringId k : subset) {
-      alloc_.set_deployed(k, false);
-      alloc_.clear_string(k);
-    }
+  void undo_last_add() {
+    // Only the most recent add can be undone, and a restore forgets it.
+    if (last_added_ == model::kInvalidId) return;
+    util_.undo_add(last_added_);
+    deploy_order_.pop_back();
+    alloc_.clear_string(last_added_);
+    last_added_ = model::kInvalidId;
   }
 
   void save_snapshot() {
@@ -126,6 +116,7 @@ class Driver {
     util_.restore_from(s.snap);
     alloc_ = s.alloc;
     deploy_order_ = s.deploy_order;
+    last_added_ = model::kInvalidId;
     // The restored state must reproduce the captured observables exactly —
     // the snapshot protocol is a byte image, not a recomputation.
     std::vector<double> machine_util;
@@ -194,6 +185,7 @@ class Driver {
   UtilizationState util_;
   util::Rng rng_;
   std::vector<StringId> deploy_order_;
+  StringId last_added_ = model::kInvalidId;
   std::vector<SavedState> saved_;
 };
 

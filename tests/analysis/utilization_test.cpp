@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/builders.hpp"
 
 namespace tsce::analysis {
 namespace {
 
 using model::Allocation;
+using model::MachineId;
 using model::SystemModel;
 
 // two_machine_system() hand-computed utilization contributions:
@@ -74,12 +77,25 @@ TEST(Utilization, RemoveStringIsExactInverse) {
   a.set_deployed(1, true);
   UtilizationState util(m);
   util.add_string(a, 0);
+  UtilizationState only_first(m);
+  only_first.add_string(a, 0);
   util.add_string(a, 1);
-  util.remove_string(a, 1);
+  util.undo_add(1);
   EXPECT_DOUBLE_EQ(util.machine_util(0), 0.1);
   EXPECT_DOUBLE_EQ(util.machine_util(1), 0.4);
   EXPECT_DOUBLE_EQ(util.route_util(1, 0), 0.0);
   EXPECT_TRUE(util.apps_on(0).size() == 1 && util.apps_on(1).size() == 1);
+  // Bitwise, not just close: the undo restores the journaled values.
+  for (MachineId j = 0; j < 2; ++j) {
+    EXPECT_EQ(util.machine_util(j), only_first.machine_util(j));
+    EXPECT_TRUE(std::ranges::equal(util.apps_on(j), only_first.apps_on(j)));
+    for (MachineId j2 = 0; j2 < 2; ++j2) {
+      EXPECT_EQ(util.route_util(j, j2), only_first.route_util(j, j2));
+      EXPECT_TRUE(std::ranges::equal(util.transfers_on(j, j2),
+                                     only_first.transfers_on(j, j2)));
+    }
+  }
+  EXPECT_EQ(util.slackness(), only_first.slackness());
 }
 
 TEST(Utilization, FromAllocationSkipsUndeployed) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/decode.hpp"
@@ -105,6 +109,39 @@ TEST(BatchEvaluator, ForEachWithIndexedStreamsIsDeterministic) {
   const auto serial = run(1);
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(3), serial);
+}
+
+TEST(BatchEvaluator, ForEachJoinsEveryWorkerBeforeRethrowing) {
+  // When an item throws, the other workers must be joined before the
+  // exception reaches the caller: they pull from for_each's stack cursor and
+  // call a fn that may die with the caller's frame.  Item 0 throws once some
+  // other item is in flight; every other item sleeps inside the counter.
+  using namespace std::chrono_literals;
+  const SystemModel m = make_instance(9);
+  constexpr std::size_t kItems = 24;
+  std::atomic<int> in_flight{0};
+  std::atomic<std::size_t> finished{0};
+  BatchEvaluator evaluator(m, 4);
+  int in_flight_at_catch = -1;
+  try {
+    evaluator.for_each(kItems, [&](std::size_t i, DecodeContext&) {
+      if (i == 0) {
+        const auto deadline = std::chrono::steady_clock::now() + 2s;
+        while (in_flight.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        throw std::runtime_error("item 0");
+      }
+      in_flight.fetch_add(1);
+      std::this_thread::sleep_for(10ms);
+      in_flight.fetch_sub(1);
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error&) {
+    in_flight_at_catch = in_flight.load();
+  }
+  EXPECT_EQ(in_flight_at_catch, 0);
+  EXPECT_EQ(finished.load(), kItems - 1);
 }
 
 TEST(BatchEvaluator, ZeroThreadsUsesHardwareConcurrency) {

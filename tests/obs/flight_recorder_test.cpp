@@ -198,7 +198,6 @@ TEST_F(FlightRecorderTest, KindNamesAreRegistered) {
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kDecode), "fr.decode");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kCommitReject),
             "fr.commit.reject");
-  EXPECT_EQ(flight_recorder_kind_name(FrKind::kUncommit), "fr.uncommit");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kRemap), "fr.remap");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kAnomaly), "fr.anomaly");
   EXPECT_EQ(flight_recorder_kind_name(FrKind::kMark), "fr.mark");
